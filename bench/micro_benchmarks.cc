@@ -35,16 +35,26 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
-void BM_Sha256(benchmark::State& state) {
+// SHA-256 with this host's block function (SHA-NI when the CPU has it) and
+// with the portable reference; 1 MiB is one launch page.
+void Sha256With(benchmark::State& state, crypto::Sha256BlockFn block_fn) {
   const auto data = RandomBytes(static_cast<size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::Hash(
-        std::span<const uint8_t>(data.data(), data.size())));
+    crypto::Sha256 h(block_fn);
+    h.Update(data.data(), data.size());
+    benchmark::DoNotOptimize(h.Finalize());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1514)->Arg(64 * 1024);
+void BM_Sha256(benchmark::State& state) {
+  Sha256With(state, crypto::Sha256DefaultBlockFn());
+}
+void BM_Sha256Reference(benchmark::State& state) {
+  Sha256With(state, &crypto::Sha256BlocksReference);
+}
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1514)->Arg(64 * 1024)->Arg(1 << 20);
+BENCHMARK(BM_Sha256Reference)->Arg(64)->Arg(1514)->Arg(64 * 1024)->Arg(1 << 20);
 
 void BM_HmacSha256(benchmark::State& state) {
   const auto key = RandomBytes(32, 2);
@@ -68,6 +78,35 @@ void BM_RsaSign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// A full-length private-exponent PowMod (the cost of one plain RSA
+// signature) at range(0) bits: Montgomery against the DivMod reference.
+using PowModFn = crypto::BigUint (*)(const crypto::BigUint&,
+                                     const crypto::BigUint&,
+                                     const crypto::BigUint&);
+void PowModWith(benchmark::State& state, PowModFn pow_mod) {
+  Rng rng(6);
+  const auto bits = static_cast<size_t>(state.range(0));
+  const crypto::BigUint m = crypto::BigUint::Add(
+      crypto::BigUint::RandomWithBits(bits, rng).ShiftRight(1).ShiftLeft(1),
+      crypto::BigUint(1));
+  const crypto::BigUint base = crypto::BigUint::RandomWithBits(bits - 1, rng);
+  const crypto::BigUint exp = crypto::BigUint::RandomWithBits(bits, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pow_mod(base, exp, m));
+  }
+}
+void BM_PowModMontgomery(benchmark::State& state) {
+  PowModWith(state, &crypto::BigUint::PowModMontgomery);
+}
+void BM_PowModReference(benchmark::State& state) {
+  PowModWith(state, &crypto::BigUint::PowModReference);
+}
+BENCHMARK(BM_PowModMontgomery)
+    ->Arg(512)
+    ->Arg(768)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PowModReference)->Arg(512)->Arg(768)->Unit(benchmark::kMillisecond);
 
 void BM_AhoCorasickScan(benchmark::State& state) {
   static const accel::AhoCorasick* automaton = new accel::AhoCorasick(

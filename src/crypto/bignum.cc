@@ -347,8 +347,16 @@ BigUint BigUint::MulMod(const BigUint& a, const BigUint& b, const BigUint& m) {
 
 BigUint BigUint::PowMod(const BigUint& base, const BigUint& exp,
                         const BigUint& m) {
+  if (m.IsOdd() && m.limbs_.size() >= 2) {
+    return PowModMontgomery(base, exp, m);
+  }
+  return PowModReference(base, exp, m);
+}
+
+BigUint BigUint::PowModReference(const BigUint& base, const BigUint& exp,
+                                 const BigUint& m) {
   SNIC_CHECK(!m.IsZero());
-  BigUint result(1);
+  BigUint result = Mod(BigUint(1), m);  // x^0 mod 1 is 0, not 1
   BigUint acc = Mod(base, m);
   const size_t bits = exp.BitLength();
   for (size_t i = 0; i < bits; ++i) {
@@ -358,6 +366,126 @@ BigUint BigUint::PowMod(const BigUint& base, const BigUint& exp,
     acc = MulMod(acc, acc, m);
   }
   return result;
+}
+
+namespace {
+
+// -m0^-1 mod 2^32 for odd m0. Newton's iteration doubles the number of
+// correct low bits per step, and m0 is its own inverse mod 8.
+uint32_t NegInverseMod32(uint32_t m0) {
+  uint32_t inv = m0;
+  for (int i = 0; i < 4; ++i) {
+    inv *= 2u - m0 * inv;
+  }
+  return 0u - inv;
+}
+
+// out = a * b * R^-1 mod m with R = 2^(32n), by coarsely integrated operand
+// scanning (CIOS) with the multiply and reduce passes of each outer step
+// fused, so their two carry chains run side by side. Inputs are below m; `t`
+// is n + 1 limbs of scratch. `out` may alias `a` or `b`.
+void MontMul(const uint32_t* a, const uint32_t* b, const uint32_t* m,
+             uint32_t m_inv, size_t n, uint32_t* __restrict t,
+             uint32_t* out) {
+  std::fill(t, t + n + 1, 0u);
+  for (size_t i = 0; i < n; ++i) {
+    // t = (t + a * b[i] + u * m) / 2^32, with u chosen so the low limb of
+    // the sum vanishes.
+    const uint64_t bi = b[i];
+    uint64_t cur = t[0] + a[0] * bi;
+    const uint64_t u = static_cast<uint32_t>(cur) * m_inv;
+    uint64_t mul_carry = cur >> 32;
+    uint64_t red_carry = (static_cast<uint32_t>(cur) + u * m[0]) >> 32;
+    for (size_t j = 1; j < n; ++j) {
+      cur = t[j] + a[j] * bi + mul_carry;
+      mul_carry = cur >> 32;
+      const uint64_t red = static_cast<uint32_t>(cur) + u * m[j] + red_carry;
+      red_carry = red >> 32;
+      t[j - 1] = static_cast<uint32_t>(red);
+    }
+    cur = t[n] + mul_carry;
+    const uint64_t red = static_cast<uint32_t>(cur) + red_carry;
+    t[n - 1] = static_cast<uint32_t>(red);
+    t[n] = static_cast<uint32_t>((cur >> 32) + (red >> 32));
+  }
+
+  // t < 2m: one conditional subtraction brings it below m.
+  bool ge = t[n] != 0;
+  if (!ge) {
+    ge = true;
+    for (size_t i = n; i-- > 0;) {
+      if (t[i] != m[i]) {
+        ge = t[i] > m[i];
+        break;
+      }
+    }
+  }
+  if (ge) {
+    int64_t borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t diff = static_cast<int64_t>(t[i]) - m[i] - borrow;
+      t[i] = static_cast<uint32_t>(diff);
+      borrow = diff < 0 ? 1 : 0;
+    }
+  }
+  std::copy(t, t + n, out);
+}
+
+}  // namespace
+
+BigUint BigUint::PowModMontgomery(const BigUint& base, const BigUint& exp,
+                                  const BigUint& m) {
+  SNIC_CHECK(m.IsOdd() && m.limbs_.size() >= 2);
+  const size_t n = m.limbs_.size();
+  const uint32_t m_inv = NegInverseMod32(m.limbs_[0]);
+  const size_t bits = exp.BitLength();
+  // Fixed windows of 4 bits for long exponents; plain binary for short ones
+  // such as e = 65537, where the table would cost more than it saves.
+  const size_t window = bits > 64 ? 4 : 1;
+  const size_t table_size = size_t{1} << window;
+
+  // One allocation for all scratch: CIOS temporary, accumulator, the
+  // constant 1 (to leave Montgomery form), and the table of base powers.
+  std::vector<uint32_t> scratch((n + 1) + n + n + table_size * n, 0u);
+  uint32_t* t = scratch.data();
+  uint32_t* acc = t + n + 1;
+  uint32_t* plain_one = acc + n;
+  uint32_t* table = plain_one + n;
+  plain_one[0] = 1;
+
+  // Enter Montgomery form (x * R mod m) with one division each.
+  const auto to_mont = [&](const BigUint& x, uint32_t* dst) {
+    const BigUint xr = Mod(x.ShiftLeft(32 * n), m);
+    std::copy(xr.limbs_.begin(), xr.limbs_.end(), dst);
+  };
+  to_mont(BigUint(1), table);
+  to_mont(base, table + n);
+  for (size_t k = 2; k < table_size; ++k) {
+    MontMul(table + (k - 1) * n, table + n, m.limbs_.data(), m_inv, n, t,
+            table + k * n);
+  }
+
+  // Left to right over the exponent, one window at a time.
+  std::copy(table, table + n, acc);  // Montgomery 1
+  for (size_t top = (bits + window - 1) / window * window; top > 0;
+       top -= window) {
+    size_t digit = 0;
+    for (size_t b = top; b-- > top - window;) {
+      digit = (digit << 1) | (exp.GetBit(b) ? 1u : 0u);
+    }
+    for (size_t s = 0; s < window; ++s) {
+      MontMul(acc, acc, m.limbs_.data(), m_inv, n, t, acc);
+    }
+    if (digit != 0) {
+      MontMul(acc, table + digit * n, m.limbs_.data(), m_inv, n, t, acc);
+    }
+  }
+
+  MontMul(acc, plain_one, m.limbs_.data(), m_inv, n, t, acc);
+  BigUint out;
+  out.limbs_.assign(acc, acc + n);
+  out.Trim();
+  return out;
 }
 
 bool BigUint::InvMod(const BigUint& a, const BigUint& m, BigUint* inverse) {

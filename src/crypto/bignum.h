@@ -2,9 +2,13 @@
 //
 // This is the arithmetic substrate for the attestation protocol: classic
 // Diffie-Hellman (modular exponentiation over a safe prime) and RSA
-// signatures (Appendix A). The implementation favors clarity and testability
-// over peak performance; attestation happens once per function launch, and
-// the paper's co-processor latency model (Fig. 6) governs reported timings.
+// signatures (Appendix A). Most of it is plain schoolbook code. Modular
+// exponentiation, which dominates key generation, signing and Diffie-Hellman,
+// has two paths that return identical values: a Montgomery path for odd
+// multi-limb moduli (every RSA and DH modulus) and the original
+// square-and-multiply over DivMod, kept as the reference oracle and as the
+// route for even or single-limb moduli. Host speed never shows in reported
+// timings: the paper's co-processor latency model (Fig. 6) governs those.
 
 #ifndef SNIC_CRYPTO_BIGNUM_H_
 #define SNIC_CRYPTO_BIGNUM_H_
@@ -71,10 +75,21 @@ class BigUint {
                      BigUint* remainder);
   static BigUint Mod(const BigUint& a, const BigUint& m);
 
-  // (a * b) mod m and (base ^ exp) mod m via square-and-multiply.
+  // (a * b) mod m.
   static BigUint MulMod(const BigUint& a, const BigUint& b, const BigUint& m);
+  // (base ^ exp) mod m. Odd moduli of two or more limbs take
+  // PowModMontgomery; all others PowModReference. Both return the same value.
   static BigUint PowMod(const BigUint& base, const BigUint& exp,
                         const BigUint& m);
+  // Right-to-left square-and-multiply over MulMod (one DivMod per step):
+  // the oracle for PowModMontgomery.
+  static BigUint PowModReference(const BigUint& base, const BigUint& exp,
+                                 const BigUint& m);
+  // Montgomery exponentiation (CIOS multiplication on the 32-bit limbs,
+  // 4-bit fixed windows for long exponents); aborts unless m is odd and at
+  // least two limbs long.
+  static BigUint PowModMontgomery(const BigUint& base, const BigUint& exp,
+                                  const BigUint& m);
 
   // Modular inverse via extended Euclid; returns false if gcd(a, m) != 1.
   static bool InvMod(const BigUint& a, const BigUint& m, BigUint* inverse);

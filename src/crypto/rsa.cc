@@ -1,6 +1,7 @@
 #include "src/crypto/rsa.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/status.h"
 
@@ -47,9 +48,18 @@ RsaKeyPair GenerateRsaKeyPair(size_t modulus_bits, Rng& rng) {
     if (!BigUint::InvMod(e, phi, &d)) {
       continue;  // e not coprime with phi; re-draw primes
     }
+    BigUint qinv;
+    SNIC_CHECK(BigUint::InvMod(q, p, &qinv));  // distinct primes
     RsaKeyPair pair;
     pair.public_key = RsaPublicKey{n, e};
-    pair.private_key = RsaPrivateKey{n, d};
+    pair.private_key = RsaPrivateKey{
+        n,
+        d,
+        p,
+        q,
+        BigUint::Mod(d, BigUint::Sub(p, BigUint(1))),
+        BigUint::Mod(d, BigUint::Sub(q, BigUint(1))),
+        std::move(qinv)};
     return pair;
   }
 }
@@ -59,7 +69,18 @@ std::vector<uint8_t> RsaSignDigest(const RsaPrivateKey& key,
   const size_t k = (key.n.BitLength() + 7) / 8;
   const std::vector<uint8_t> em = EncodeEmsa(digest, k);
   const BigUint m = BigUint::FromBytes(em);
-  const BigUint s = BigUint::PowMod(m, key.d, key.n);
+  if (key.p.IsZero()) {
+    return BigUint::PowMod(m, key.d, key.n).ToBytesPadded(k);
+  }
+  // Garner's recombination: s = s_q + q * (qinv * (s_p - s_q) mod p).
+  const BigUint s_p = BigUint::PowMod(m, key.dp, key.p);
+  const BigUint s_q = BigUint::PowMod(m, key.dq, key.q);
+  const BigUint s_q_mod_p = BigUint::Mod(s_q, key.p);
+  const BigUint diff = s_p >= s_q_mod_p
+                           ? BigUint::Sub(s_p, s_q_mod_p)
+                           : BigUint::Sub(BigUint::Add(s_p, key.p), s_q_mod_p);
+  const BigUint h = BigUint::MulMod(key.qinv, diff, key.p);
+  const BigUint s = BigUint::Add(s_q, BigUint::Mul(key.q, h));
   return s.ToBytesPadded(k);
 }
 

@@ -31,6 +31,13 @@ struct RsaPublicKey {
 struct RsaPrivateKey {
   BigUint n;
   BigUint d;  // private exponent
+  // CRT components (RFC 8017 §3.2). When p is zero (a key built from n and d
+  // alone) signing falls back to the plain m^d mod n.
+  BigUint p;
+  BigUint q;
+  BigUint dp;    // d mod (p - 1)
+  BigUint dq;    // d mod (q - 1)
+  BigUint qinv;  // q^-1 mod p
 };
 
 struct RsaKeyPair {
@@ -53,7 +60,9 @@ bool RsaVerify(const RsaPublicKey& key, std::span<const uint8_t> message,
                std::span<const uint8_t> signature);
 
 // Signs a precomputed digest (the trusted hardware signs the cumulative
-// measurement directly rather than rehashing the function image).
+// measurement directly rather than rehashing the function image). Uses the
+// CRT components when the key has them; the signature equals m^d mod n
+// either way.
 std::vector<uint8_t> RsaSignDigest(const RsaPrivateKey& key,
                                    const Sha256Digest& digest);
 bool RsaVerifyDigest(const RsaPublicKey& key, const Sha256Digest& digest,

@@ -1,6 +1,16 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/common/status.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define SNIC_SHA256_X86 1
+#include <immintrin.h>
+#else
+#define SNIC_SHA256_X86 0
+#endif
 
 namespace snic::crypto {
 namespace {
@@ -22,6 +32,136 @@ uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 }  // namespace
 
+void Sha256BlocksReference(uint32_t state[8], const uint8_t* data,
+                           size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[i * 4]) << 24) |
+             (static_cast<uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if SNIC_SHA256_X86
+
+bool Sha256HasShaNi() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+         __builtin_cpu_supports("ssse3");
+}
+
+// The SHA extensions keep the working variables as two vectors, ABEF and
+// CDGH. Each _mm_sha256rnds2_epu32 runs two rounds on the low two words of
+// its message+constant operand, so one group of four rounds is two calls.
+// The message schedule is extended four words at a time with
+// sha256msg1/msg2 plus the W[t-7] term taken by a byte alignment.
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256BlocksShaNi(
+    uint32_t state[8], const uint8_t* data, size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // state[0..3] = DCBA and state[4..7] = HGFE as little-endian lanes.
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int group = 0; group < 16; ++group) {
+      __m128i& cur = w[group & 3];
+      if (group < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(data + 16 * group)),
+            byte_swap);
+      } else {
+        // cur holds the words of group-4; back3..back1 those of the three
+        // groups since.
+        const __m128i back3 = w[(group + 1) & 3];
+        const __m128i back2 = w[(group + 2) & 3];
+        const __m128i back1 = w[(group + 3) & 3];
+        cur = _mm_sha256msg1_epu32(cur, back3);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(back1, back2, 4));
+        cur = _mm_sha256msg2_epu32(cur, back1);
+      }
+      const __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                   &kRoundConstants[4 * group])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else  // !SNIC_SHA256_X86
+
+bool Sha256HasShaNi() { return false; }
+
+void Sha256BlocksShaNi(uint32_t*, const uint8_t*, size_t) {
+  SNIC_CHECK(false && "SHA-NI is not available on this architecture");
+}
+
+#endif  // SNIC_SHA256_X86
+
+Sha256BlockFn Sha256DefaultBlockFn() {
+  static const Sha256BlockFn block_fn =
+      Sha256HasShaNi() ? &Sha256BlocksShaNi : &Sha256BlocksReference;
+  return block_fn;
+}
+
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
   state_[1] = 0xbb67ae85;
@@ -42,34 +182,43 @@ void Sha256::Update(std::span<const uint8_t> data) {
 void Sha256::Update(const void* data, size_t len) {
   const auto* bytes = static_cast<const uint8_t*>(data);
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     const size_t take = std::min(len, sizeof(buffer_) - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, bytes, take);
     buffer_len_ += take;
     bytes += take;
     len -= take;
-    if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
+    if (buffer_len_ < sizeof(buffer_)) {
+      return;
     }
+    block_fn_(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  const size_t blocks = len / sizeof(buffer_);
+  if (blocks > 0) {
+    block_fn_(state_, bytes, blocks);
+    bytes += blocks * sizeof(buffer_);
+    len -= blocks * sizeof(buffer_);
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, bytes, len);
+    buffer_len_ = len;
   }
 }
 
 Sha256Digest Sha256::Finalize() {
   // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit count.
-  const uint64_t bits = bit_count_;
-  const uint8_t one = 0x80;
-  Update(&one, 1);
-  const uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    block_fn_(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  std::memcpy(buffer_ + 56, len_be, 8);
-  ProcessBlock(buffer_);
+  block_fn_(state_, buffer_, 1);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -82,48 +231,6 @@ Sha256Digest Sha256::Finalize() {
     digest[static_cast<size_t>(i) * 4 + 3] = static_cast<uint8_t>(state_[i]);
   }
   return digest;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Sha256Digest Sha256::Hash(std::span<const uint8_t> data) {

@@ -5,6 +5,14 @@
 // function's initial state (§4.6), and `nf_attest` signs that digest
 // (Appendix A). A streaming interface is provided so the measurement can be
 // updated page-by-page exactly as the microcoded instruction would.
+//
+// The compression function is pluggable. `Sha256BlocksReference` is the
+// portable FIPS 180-4 round loop: the oracle for every other block function
+// and the fallback on hosts without the x86 SHA extensions. On x86-64 hosts
+// whose CPU reports SHA-NI (checked once at run time via CPUID),
+// `Sha256BlocksShaNi` is used instead; it is compiled with a per-function
+// target attribute, so no build option selects it. Both produce the same
+// state for the same input, which the differential tests check.
 
 #ifndef SNIC_CRYPTO_SHA256_H_
 #define SNIC_CRYPTO_SHA256_H_
@@ -19,14 +27,36 @@ namespace snic::crypto {
 
 using Sha256Digest = std::array<uint8_t, 32>;
 
+// Compresses `blocks` consecutive 64-byte blocks at `data` into `state`.
+using Sha256BlockFn = void (*)(uint32_t state[8], const uint8_t* data,
+                               size_t blocks);
+
+// Portable block function (the reference path).
+void Sha256BlocksReference(uint32_t state[8], const uint8_t* data,
+                           size_t blocks);
+
+// True if this CPU can run Sha256BlocksShaNi.
+bool Sha256HasShaNi();
+
+// SHA-NI block function; call only when Sha256HasShaNi() is true.
+void Sha256BlocksShaNi(uint32_t state[8], const uint8_t* data, size_t blocks);
+
+// The block function chosen for this host: SHA-NI when available, else the
+// reference.
+Sha256BlockFn Sha256DefaultBlockFn();
+
 class Sha256 {
  public:
-  Sha256() { Reset(); }
+  explicit Sha256(Sha256BlockFn block_fn = Sha256DefaultBlockFn())
+      : block_fn_(block_fn) {
+    Reset();
+  }
 
   // Resets to the initial hash state.
   void Reset();
 
-  // Absorbs `data`; may be called any number of times.
+  // Absorbs `data`; may be called any number of times. Whole blocks are
+  // compressed straight from `data`; only a partial tail is buffered.
   void Update(std::span<const uint8_t> data);
   void Update(const void* data, size_t len);
 
@@ -39,8 +69,7 @@ class Sha256 {
   static Sha256Digest Hash(const void* data, size_t len);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
+  Sha256BlockFn block_fn_;
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -9,20 +9,18 @@ namespace snic::mgmt {
 
 crypto::Sha256Digest ExpectedMeasurement(const FunctionImage& image,
                                          uint64_t page_bytes) {
+  // nf_launch digests the image page by page, zero-padded to page size:
+  // that is the image bytes followed by zeros up to a page boundary.
+  static constexpr uint8_t kZeros[4096] = {};
   crypto::Sha256 hasher;
-  // nf_launch digests the image page by page, zero-padded to page size.
-  const uint64_t pages = CeilDiv(image.code_and_data.size(), page_bytes);
-  std::vector<uint8_t> page(page_bytes, 0);
-  for (uint64_t p = 0; p < pages; ++p) {
-    std::fill(page.begin(), page.end(), 0);
-    const uint64_t offset = p * page_bytes;
-    const uint64_t chunk =
-        std::min<uint64_t>(page_bytes, image.code_and_data.size() - offset);
-    std::copy(image.code_and_data.begin() + static_cast<ptrdiff_t>(offset),
-              image.code_and_data.begin() +
-                  static_cast<ptrdiff_t>(offset + chunk),
-              page.begin());
-    hasher.Update(page.data(), page.size());
+  const uint64_t image_bytes = image.code_and_data.size();
+  hasher.Update(image.code_and_data.data(), image_bytes);
+  for (uint64_t tail = CeilDiv(image_bytes, page_bytes) * page_bytes -
+                       image_bytes;
+       tail > 0;) {
+    const uint64_t take = std::min<uint64_t>(tail, sizeof(kZeros));
+    hasher.Update(kZeros, take);
+    tail -= take;
   }
   const std::vector<uint8_t> config = image.SerializeConfig();
   hasher.Update(config.data(), config.size());

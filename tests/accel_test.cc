@@ -140,6 +140,10 @@ struct ZipCase {
   size_t length;
 };
 
+// Prints the case by name so the discovered test names do not embed the
+// address of the `name` literal, which changes from run to run.
+void PrintTo(const ZipCase& c, std::ostream* os) { *os << c.name; }
+
 class ZipRoundTripTest : public ::testing::TestWithParam<ZipCase> {};
 
 TEST_P(ZipRoundTripTest, RoundTrips) {

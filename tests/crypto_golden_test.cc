@@ -1,0 +1,122 @@
+// Byte-identity goldens for the crypto layer. The values below were recorded
+// with the portable SHA-256 compression and the square-and-multiply PowMod
+// over DivMod; every faster path (SHA-NI block function, Montgomery PowMod,
+// CRT signing) must reproduce them exactly. They cover RSA key generation
+// (which drives Miller-Rabin and therefore the RNG stream), an nf_attest
+// quote signature, and the nf_launch measurement of a padded image together
+// with the tenant-side recomputation of it.
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/core/snic_device.h"
+#include "src/crypto/diffie_hellman.h"
+#include "src/crypto/keys.h"
+#include "src/mgmt/nic_os.h"
+#include "src/mgmt/verifier.h"
+
+namespace snic {
+namespace {
+
+constexpr uint64_t kVendorSeed = 0x5eed0c0de;
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xf]);
+  }
+  return out;
+}
+
+TEST(CryptoGoldenTest, VendorModulus512) {
+  Rng rng(kVendorSeed);
+  const crypto::VendorAuthority vendor(512, rng);
+  EXPECT_EQ(vendor.public_key().n.ToHex(),
+            "70f93d0c2b2e465d3e35cdf3e6c48e2776ff1f73b32f4bb75c5d5a85e76faa72"
+            "4bb30f310985face8d4ff498c3f0c6e4673f344a674a38dda69afb475a8aeb01");
+}
+
+TEST(CryptoGoldenTest, VendorModulus768) {
+  Rng rng(kVendorSeed);
+  const crypto::VendorAuthority vendor(768, rng);
+  EXPECT_EQ(vendor.public_key().n.ToHex(),
+            "883d0f1eaaf01f6c9ef54f445ba9b352336d37df1ca332fdec9a2dc21e628a98"
+            "0afc1dce2b1bc316e6122536a90fe9ce1033b7ac799e1e791f5c06d8c5c9a106"
+            "346f60a603cf2e4718cfc3be5cb436f21d39322978c89d87658644b8407459f7");
+}
+
+// A device with 1 MiB pages running one fixed 3000-byte image: the image
+// fills part of one page, so the measurement covers a long zero tail.
+class LaunchGoldenTest : public ::testing::Test {
+ protected:
+  LaunchGoldenTest()
+      : rng_(kVendorSeed), vendor_(512, rng_), device_(Config(), vendor_),
+        nic_os_(&device_) {}
+
+  static core::SnicConfig Config() {
+    core::SnicConfig config;
+    config.num_cores = 4;
+    config.dram_bytes = 32ull << 20;
+    config.page_bytes = 1ull << 20;
+    config.rsa_modulus_bits = 512;
+    return config;
+  }
+
+  static mgmt::FunctionImage Image() {
+    mgmt::FunctionImage image;
+    image.name = "golden-fn";
+    image.code_and_data.resize(3000);
+    for (size_t i = 0; i < image.code_and_data.size(); ++i) {
+      image.code_and_data[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    image.memory_bytes = 4ull << 20;
+    return image;
+  }
+
+  Rng rng_;
+  crypto::VendorAuthority vendor_;
+  core::SnicDevice device_;
+  mgmt::NicOs nic_os_;
+};
+
+TEST_F(LaunchGoldenTest, MeasurementMatchesGoldenAndVerifier) {
+  const mgmt::FunctionImage image = Image();
+  const auto id = nic_os_.NfCreate(image);
+  ASSERT_TRUE(id.ok());
+  const crypto::Sha256Digest measured =
+      device_.MeasurementOf(id.value()).value();
+  EXPECT_EQ(crypto::DigestToHex(measured),
+            "1245bbec512115905f0c5ed2e3559ab6f871f8376aff26ac0e106e1439e6dee5");
+  EXPECT_EQ(mgmt::ExpectedMeasurement(image, device_.config().page_bytes),
+            measured);
+}
+
+TEST_F(LaunchGoldenTest, QuoteSignature) {
+  const auto id = nic_os_.NfCreate(Image());
+  ASSERT_TRUE(id.ok());
+  Rng dh_rng(77);
+  const crypto::DhParticipant dh(crypto::SmallTestGroup(), dh_rng);
+  EXPECT_EQ(dh.public_value().ToHex(),
+            "2e14ddd8ac90adcbb044b93a0765acd50e336f4babc03f8023fc1fbfd4e7c353");
+
+  core::AttestationRequest request;
+  request.group = crypto::SmallTestGroup();
+  request.nonce = {0xa5, 0x5a, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06};
+  request.g_x = dh.public_value();
+  const auto quote = device_.NfAttest(id.value(), request);
+  ASSERT_TRUE(quote.ok());
+  EXPECT_EQ(Hex(quote.value().signature),
+            "67c13fc7a6a56596d7bb66a0ea336e3e3a0fb8062d8d6bcafd89912b1fb01bd8"
+            "4cba6bb2f51b372b61cf8c171e3d98877d6bb8e76018951f2002159813a04972");
+  EXPECT_TRUE(core::VerifyQuote(vendor_.public_key(), quote.value(),
+                                request.nonce)
+                  .Ok());
+}
+
+}  // namespace
+}  // namespace snic

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/crypto/bignum.h"
@@ -350,6 +352,179 @@ TEST(KeysTest, AkSignsPayloads) {
   const std::string payload = "quote-payload";
   const auto sig = rot.SignWithAk(Bytes(payload));
   EXPECT_TRUE(RsaVerify(rot.ak_public(), Bytes(payload), sig));
+}
+
+// ---- Differential tests: fast paths against the reference oracles --------
+
+Sha256Digest HashWith(Sha256BlockFn block_fn, std::span<const uint8_t> data) {
+  Sha256 h(block_fn);
+  h.Update(data);
+  return h.Finalize();
+}
+
+// The block functions under test on this host: always the reference, plus
+// SHA-NI when the CPU has it.
+std::vector<Sha256BlockFn> BlockFns() {
+  std::vector<Sha256BlockFn> fns = {&Sha256BlocksReference};
+  if (Sha256HasShaNi()) {
+    fns.push_back(&Sha256BlocksShaNi);
+  }
+  return fns;
+}
+
+TEST(Sha256DifferentialTest, DefaultBlockFnFollowsCpu) {
+  EXPECT_EQ(Sha256DefaultBlockFn(), Sha256HasShaNi() ? &Sha256BlocksShaNi
+                                                     : &Sha256BlocksReference);
+}
+
+TEST(Sha256DifferentialTest, NistVectorsOnEveryBlockFn) {
+  const std::string two_blocks =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  const std::string million_a(1000000, 'a');
+  for (Sha256BlockFn fn : BlockFns()) {
+    EXPECT_EQ(DigestToHex(HashWith(fn, {})),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(DigestToHex(HashWith(fn, Bytes("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(DigestToHex(HashWith(fn, Bytes(two_blocks))),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(DigestToHex(HashWith(fn, Bytes(million_a))),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
+}
+
+TEST(Sha256DifferentialTest, RandomLengthsUnderRandomChunking) {
+  constexpr size_t kMaxLen = 192 * 1024;
+  Rng rng(0x5a256);
+  std::vector<uint8_t> data(kMaxLen);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  for (int trial = 0; trial < 1000; ++trial) {
+    // Every other length is short, so block-boundary cases stay dense.
+    const size_t len = static_cast<size_t>(
+        rng.NextBounded(trial % 2 == 0 ? kMaxLen + 1 : 1024));
+    const std::span<const uint8_t> msg(data.data(), len);
+    const Sha256Digest want = HashWith(&Sha256BlocksReference, msg);
+    for (Sha256BlockFn fn : BlockFns()) {
+      Sha256 h(fn);
+      for (size_t off = 0; off < len;) {
+        const size_t max_chunk = rng.NextBounded(3) == 0 ? 64 : 4096;
+        const size_t take = std::min<size_t>(
+            len - off, static_cast<size_t>(rng.NextBounded(max_chunk + 1)));
+        h.Update(msg.subspan(off, take));
+        off += take;
+      }
+      ASSERT_EQ(h.Finalize(), want) << "len=" << len << " trial=" << trial;
+    }
+  }
+}
+
+TEST(PowModTest, ZeroExponentModOneIsZero) {
+  // x^0 mod 1 = 0: every residue mod 1 is 0.
+  for (uint64_t x : {0ull, 1ull, 5ull}) {
+    EXPECT_TRUE(BigUint::PowMod(BigUint(x), BigUint(), BigUint(1)).IsZero());
+    EXPECT_TRUE(
+        BigUint::PowModReference(BigUint(x), BigUint(), BigUint(1)).IsZero());
+    EXPECT_TRUE(
+        BigUint::PowMod(BigUint(x), BigUint(7), BigUint(1)).IsZero());
+  }
+  // A multi-limb odd modulus takes the Montgomery path: x^0 is 1 there.
+  const BigUint m = BigUint::FromHex("1000000000000000000000001");
+  EXPECT_EQ(BigUint::PowModMontgomery(BigUint(9), BigUint(), m), BigUint(1));
+  EXPECT_EQ(BigUint::PowModMontgomery(BigUint(), BigUint(), m), BigUint(1));
+}
+
+// A random odd modulus of `bits` bits; with `top_limb_one` its top limb is
+// exactly 1 (so bits = 32k + 1).
+BigUint RandomOddModulus(size_t bits, bool top_limb_one, Rng& rng) {
+  BigUint m = BigUint::RandomWithBits(bits, rng);
+  if (top_limb_one) {
+    const size_t low_bits = (bits - 1) / 32 * 32;
+    m = BigUint::Add(BigUint(1).ShiftLeft(low_bits),
+                     BigUint::RandomWithBits(low_bits - 1, rng));
+  }
+  return m.IsOdd() ? m : BigUint::Add(m, BigUint(1));
+}
+
+TEST(PowModTest, MontgomeryMatchesReference) {
+  Rng rng(0x3017);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int shape = trial % 8;
+    const bool top_limb_one = shape == 4;
+    size_t bits = 33 + static_cast<size_t>(rng.NextBounded(2048 - 33 + 1));
+    if (top_limb_one) {
+      bits = (bits - 1) / 32 * 32 + 1;
+    }
+    const BigUint m = RandomOddModulus(bits, top_limb_one, rng);
+    ASSERT_GE(m.limbs().size(), 2u);
+    ASSERT_TRUE(m.IsOdd());
+
+    // Bases below m, above m (up to twice as long), and zero.
+    BigUint base = BigUint::RandomInRange(BigUint(), BigUint::Sub(m, BigUint(1)),
+                                          rng);
+    if (shape == 0) {
+      base = BigUint();
+    } else if (shape == 3) {
+      base = BigUint::Add(m, BigUint::RandomWithBits(
+                                 1 + rng.NextBounded(bits * 2), rng));
+    }
+    // Exponents: 0, 1, short (binary path) and long (windowed path). Long
+    // exponents stay below 512 bits except on the smaller moduli, to bound
+    // the reference path's cost.
+    BigUint exp;
+    if (shape == 1) {
+      exp = BigUint();
+    } else if (shape == 2) {
+      exp = BigUint(1);
+    } else if (shape == 5 && bits <= 1024) {
+      exp = BigUint::RandomWithBits(bits, rng);
+    } else {
+      exp = BigUint::RandomWithBits(1 + rng.NextBounded(512), rng);
+    }
+
+    const BigUint want = BigUint::PowModReference(base, exp, m);
+    ASSERT_EQ(BigUint::PowModMontgomery(base, exp, m), want)
+        << "trial=" << trial << " m=" << m.ToHex() << " base=" << base.ToHex()
+        << " exp=" << exp.ToHex();
+    ASSERT_EQ(BigUint::PowMod(base, exp, m), want) << "trial=" << trial;
+  }
+}
+
+TEST(PowModTest, EvenAndSingleLimbModuliUseReference) {
+  Rng rng(0x3018);
+  for (int trial = 0; trial < 50; ++trial) {
+    const BigUint base = BigUint::RandomWithBits(100, rng);
+    const BigUint exp = BigUint::RandomWithBits(70, rng);
+    const BigUint even =
+        BigUint::RandomWithBits(1 + rng.NextBounded(300), rng).ShiftLeft(1);
+    const BigUint small(1 + rng.NextBounded(0xffffffffull));
+    EXPECT_EQ(BigUint::PowMod(base, exp, even),
+              BigUint::PowModReference(base, exp, even));
+    EXPECT_EQ(BigUint::PowMod(base, exp, small),
+              BigUint::PowModReference(base, exp, small));
+  }
+}
+
+TEST(RsaTest, CrtSignatureEqualsPlainExponentiation) {
+  Rng rng(0xc47);
+  for (size_t bits : {512u, 768u, 1024u}) {
+    const RsaKeyPair kp = GenerateRsaKeyPair(bits, rng);
+    const RsaPrivateKey& key = kp.private_key;
+    EXPECT_EQ(BigUint::Mul(key.p, key.q), key.n);
+    EXPECT_EQ(BigUint::MulMod(key.qinv, key.q, key.p), BigUint(1));
+    RsaPrivateKey plain;  // no CRT components: signs with d directly
+    plain.n = key.n;
+    plain.d = key.d;
+    for (int i = 0; i < 4; ++i) {
+      const std::string msg = "quote " + std::to_string(bits) + "/" +
+                              std::to_string(i);
+      const Sha256Digest digest = Sha256::Hash(Bytes(msg));
+      const auto crt = RsaSignDigest(key, digest);
+      EXPECT_EQ(crt, RsaSignDigest(plain, digest)) << bits << " " << i;
+      EXPECT_TRUE(RsaVerifyDigest(kp.public_key, digest, crt));
+    }
+  }
 }
 
 }  // namespace
