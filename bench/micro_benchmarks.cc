@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/accel/aho_corasick.h"
+#include "src/accel/aho_corasick_reference.h"
 #include "src/accel/raid.h"
 #include "src/accel/zip.h"
 #include "src/common/rng.h"
@@ -108,18 +109,89 @@ BENCHMARK(BM_PowModMontgomery)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PowModReference)->Arg(512)->Arg(768)->Unit(benchmark::kMillisecond);
 
-void BM_AhoCorasickScan(benchmark::State& state) {
-  static const accel::AhoCorasick* automaton = new accel::AhoCorasick(
-      accel::GenerateDpiRuleset(4096, 11));
-  const auto payload = RandomBytes(static_cast<size_t>(state.range(0)), 6);
+// The flat automaton and its pointer-per-node reference, built once per
+// (engine, ruleset size).
+template <typename Engine, size_t kPatterns>
+const Engine& Automaton() {
+  static const Engine* automaton =
+      new Engine(accel::GenerateDpiRuleset(kPatterns, 11));
+  return *automaton;
+}
+
+template <typename Engine>
+void AhoCorasickScanWith(benchmark::State& state, const Engine& automaton,
+                         const std::vector<uint8_t>& payload) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(automaton->Scan(
+    benchmark::DoNotOptimize(automaton.Scan(
         std::span<const uint8_t>(payload.data(), payload.size())));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
+                          static_cast<int64_t>(payload.size()));
+}
+
+// Random bytes over a 4,096-pattern graph: mostly root transitions, and the
+// whole graph fits in cache.
+template <typename Engine>
+void AhoCorasickScanSmall(benchmark::State& state) {
+  AhoCorasickScanWith(state, Automaton<Engine, 4096>(),
+                      RandomBytes(static_cast<size_t>(state.range(0)), 6));
+}
+void BM_AhoCorasickScan(benchmark::State& state) {
+  AhoCorasickScanSmall<accel::AhoCorasick>(state);
+}
+void BM_AhoCorasickScanReference(benchmark::State& state) {
+  AhoCorasickScanSmall<accel::ReferenceAhoCorasick>(state);
 }
 BENCHMARK(BM_AhoCorasickScan)->Arg(64)->Arg(1514)->Arg(9000);
+BENCHMARK(BM_AhoCorasickScanReference)->Arg(64)->Arg(1514)->Arg(9000);
+
+// The paper's 33,471-pattern graph (tens of MB) walked deep: the payload
+// strings rule bodies together without their "#<id>" tails, so every byte
+// follows a trie edge or a fail link and nothing matches.
+template <typename Engine>
+void AhoCorasickScanFull(benchmark::State& state) {
+  const auto patterns = accel::GenerateDpiRuleset(33'471, 11);
+  Rng rng(6);
+  std::vector<uint8_t> payload;
+  while (payload.size() < static_cast<size_t>(state.range(0))) {
+    const std::string& p = patterns[rng.NextBounded(patterns.size())];
+    payload.insert(payload.end(), p.begin(), p.begin() + p.find('#'));
+  }
+  payload.resize(static_cast<size_t>(state.range(0)));
+  AhoCorasickScanWith(state, Automaton<Engine, 33'471>(), payload);
+}
+void BM_AhoCorasickScanFull(benchmark::State& state) {
+  AhoCorasickScanFull<accel::AhoCorasick>(state);
+}
+void BM_AhoCorasickScanFullReference(benchmark::State& state) {
+  AhoCorasickScanFull<accel::ReferenceAhoCorasick>(state);
+}
+BENCHMARK(BM_AhoCorasickScanFull)->Arg(64)->Arg(1514)->Arg(9000);
+BENCHMARK(BM_AhoCorasickScanFullReference)->Arg(64)->Arg(1514)->Arg(9000);
+
+template <typename Engine>
+void AhoCorasickBuild(benchmark::State& state) {
+  const auto patterns =
+      accel::GenerateDpiRuleset(static_cast<size_t>(state.range(0)), 11);
+  for (auto _ : state) {
+    const Engine automaton(patterns);
+    benchmark::DoNotOptimize(automaton.node_count());
+  }
+}
+void BM_AhoCorasickBuild(benchmark::State& state) {
+  AhoCorasickBuild<accel::AhoCorasick>(state);
+}
+void BM_AhoCorasickBuildReference(benchmark::State& state) {
+  AhoCorasickBuild<accel::ReferenceAhoCorasick>(state);
+}
+BENCHMARK(BM_AhoCorasickBuild)
+    ->Arg(4096)
+    ->Arg(33'471)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AhoCorasickBuildReference)
+    ->Arg(4096)
+    ->Arg(33'471)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ZipCompress(benchmark::State& state) {
   // Half-compressible payload (trace generator's default entropy).

@@ -1,7 +1,7 @@
 #include "src/accel/aho_corasick.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -10,81 +10,81 @@ namespace snic::accel {
 
 AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
     : pattern_count_(patterns.size()) {
-  nodes_.emplace_back();  // root
-
-  // Phase 1: trie insertion.
-  for (size_t id = 0; id < patterns.size(); ++id) {
-    const std::string& p = patterns[id];
+  for (const std::string& p : patterns) {
     SNIC_CHECK(!p.empty());
-    int32_t state = 0;
-    for (char ch : p) {
-      const auto byte = static_cast<uint8_t>(ch);
-      Node& node = nodes_[static_cast<size_t>(state)];
-      const auto it = std::lower_bound(
-          node.next.begin(), node.next.end(), byte,
-          [](const auto& pair, uint8_t b) { return pair.first < b; });
-      if (it != node.next.end() && it->first == byte) {
-        state = it->second;
-      } else {
-        const auto new_state = static_cast<int32_t>(nodes_.size());
-        // Note: emplace_back may reallocate; re-fetch the node reference.
-        const size_t parent = static_cast<size_t>(state);
-        nodes_.emplace_back();
-        Node& parent_node = nodes_[parent];
-        const auto insert_at = std::lower_bound(
-            parent_node.next.begin(), parent_node.next.end(), byte,
-            [](const auto& pair, uint8_t b) { return pair.first < b; });
-        parent_node.next.insert(insert_at, {byte, new_state});
-        state = new_state;
+  }
+  // Sort by (bytes, id): std::string orders bytes as unsigned char, and a
+  // stable sort keeps duplicate patterns in id order.
+  std::vector<uint32_t> order(patterns.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return patterns[a] < patterns[b];
+  });
+
+  // Each node of the current depth is a range of `order` sharing its prefix;
+  // nodes and their child edges come out in BFS order.
+  struct Range {
+    size_t lo, hi;
+  };
+  std::vector<Range> level{{0, order.size()}};
+  std::vector<Range> next_level;
+  for (size_t depth = 0; !level.empty(); ++depth) {
+    next_level.clear();
+    for (auto [lo, hi] : level) {
+      const size_t first = lo;
+      while (lo < hi && patterns[order[lo]].size() == depth) {
+        ++lo;
+      }
+      pattern_id_.push_back(lo > first ? static_cast<int32_t>(order[first])
+                                       : -1);
+      patterns_here_.push_back(static_cast<uint32_t>(lo - first));
+      edge_begin_.push_back(static_cast<uint32_t>(edge_byte_.size()));
+      while (lo < hi) {
+        const char byte = patterns[order[lo]][depth];
+        size_t end = lo + 1;
+        while (end < hi && patterns[order[end]][depth] == byte) {
+          ++end;
+        }
+        edge_byte_.push_back(static_cast<uint8_t>(byte));
+        next_level.push_back({lo, end});
+        lo = end;
       }
     }
-    Node& terminal = nodes_[static_cast<size_t>(state)];
-    if (terminal.pattern_id < 0) {
-      terminal.pattern_id = static_cast<int32_t>(id);
-    }
-    ++terminal.patterns_here;
+    std::swap(level, next_level);
   }
+  edge_begin_.push_back(static_cast<uint32_t>(edge_byte_.size()));
+  const size_t nodes = patterns_here_.size();
 
-  // Phase 2: BFS to compute fail and dictionary-suffix links.
-  std::deque<int32_t> queue;
-  for (const auto& [byte, child] : nodes_[0].next) {
-    nodes_[static_cast<size_t>(child)].fail = 0;
-    queue.push_back(child);
+  // Fail and hit links in node order. A child's fail target is where its
+  // parent's fail state goes on the same byte; it is strictly shallower
+  // than the child, so its own links are already final.
+  for (uint32_t k = edge_begin_[0]; k < edge_begin_[1]; ++k) {
+    root_next_[edge_byte_[k]] = static_cast<int32_t>(k + 1);
   }
-  while (!queue.empty()) {
-    const int32_t state = queue.front();
-    queue.pop_front();
-    // Copy the transition list: Transition() only reads, but iterating a
-    // reference while touching nodes_ invites aliasing bugs.
-    const auto transitions = nodes_[static_cast<size_t>(state)].next;
-    for (const auto& [byte, child] : transitions) {
-      queue.push_back(child);
-      // The child's fail target is where the parent's fail state goes on the
-      // same byte; it is always strictly shallower than the child.
+  fail_.assign(nodes, 0);
+  hit_.assign(nodes, -1);
+  for (size_t parent = 0; parent < nodes; ++parent) {
+    for (uint32_t k = edge_begin_[parent]; k < edge_begin_[parent + 1]; ++k) {
+      const auto child = static_cast<int32_t>(k + 1);
       const int32_t f =
-          Transition(nodes_[static_cast<size_t>(state)].fail, byte);
-      nodes_[static_cast<size_t>(child)].fail = f;
-      const Node& fail_node = nodes_[static_cast<size_t>(f)];
-      nodes_[static_cast<size_t>(child)].dict_link =
-          fail_node.patterns_here > 0 ? f : fail_node.dict_link;
+          parent == 0 ? 0 : Transition(fail_[parent], edge_byte_[k]);
+      fail_[child] = f;
+      hit_[child] = patterns_here_[child] > 0 ? child : hit_[f];
     }
   }
 }
 
 int32_t AhoCorasick::Transition(int32_t state, uint8_t byte) const {
-  for (;;) {
-    const Node& node = nodes_[static_cast<size_t>(state)];
-    const auto it = std::lower_bound(
-        node.next.begin(), node.next.end(), byte,
-        [](const auto& pair, uint8_t b) { return pair.first < b; });
-    if (it != node.next.end() && it->first == byte) {
-      return it->second;
+  while (state != 0) {
+    const uint32_t end = edge_begin_[state + 1];
+    for (uint32_t k = edge_begin_[state]; k < end; ++k) {
+      if (edge_byte_[k] == byte) {
+        return static_cast<int32_t>(k + 1);
+      }
     }
-    if (state == 0) {
-      return 0;
-    }
-    state = node.fail;
+    state = fail_[state];
   }
+  return root_next_[byte];
 }
 
 MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
@@ -93,16 +93,12 @@ MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
   int32_t state = 0;
   for (uint8_t byte : data) {
     state = Transition(state, byte);
-    // Count matches ending at this position: the current node, then every
-    // pattern-ending suffix via the dictionary-link chain.
-    for (int32_t s = state; s >= 0;
-         s = nodes_[static_cast<size_t>(s)].dict_link) {
-      const Node& node = nodes_[static_cast<size_t>(s)];
-      if (node.patterns_here > 0) {
-        result.match_count += node.patterns_here;
-        if (result.first_pattern == UINT32_MAX) {
-          result.first_pattern = static_cast<uint32_t>(node.pattern_id);
-        }
+    // Count matches ending at this position: the longest pattern-ending
+    // suffix, then every shorter one down the dictionary-link chain.
+    for (int32_t s = hit_[state]; s >= 0; s = hit_[fail_[s]]) {
+      result.match_count += patterns_here_[s];
+      if (result.first_pattern == UINT32_MAX) {
+        result.first_pattern = static_cast<uint32_t>(pattern_id_[s]);
       }
     }
   }
@@ -112,21 +108,17 @@ MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
 MatchResult AhoCorasick::ScanFirstMatch(std::span<const uint8_t> data) const {
   MatchResult result;
   int32_t state = 0;
-  uint64_t scanned = 0;
-  for (uint8_t byte : data) {
-    ++scanned;
-    state = Transition(state, byte);
-    const Node& node = nodes_[static_cast<size_t>(state)];
-    int32_t s = node.patterns_here > 0 ? state : node.dict_link;
+  for (size_t i = 0; i < data.size(); ++i) {
+    state = Transition(state, data[i]);
+    const int32_t s = hit_[state];
     if (s >= 0) {
-      const Node& hit = nodes_[static_cast<size_t>(s)];
       result.match_count = 1;
-      result.first_pattern = static_cast<uint32_t>(hit.pattern_id);
-      result.bytes_scanned = scanned;
+      result.first_pattern = static_cast<uint32_t>(pattern_id_[s]);
+      result.bytes_scanned = i + 1;
       return result;
     }
   }
-  result.bytes_scanned = scanned;
+  result.bytes_scanned = data.size();
   return result;
 }
 
@@ -136,11 +128,7 @@ uint64_t AhoCorasick::GraphBytes() const {
   // the footprint of the `aho_corasick` crate's automata) plus 8 bytes per
   // transition. For the paper's 33,471-pattern corpus this lands within
   // 1.5% of the 46.65 MB heap the paper profiles for its DPI NF.
-  uint64_t transitions = 0;
-  for (const Node& node : nodes_) {
-    transitions += node.next.size();
-  }
-  return nodes_.size() * 64 + transitions * 8;
+  return node_count() * 64 + edge_byte_.size() * 8;
 }
 
 uint64_t AhoCorasick::HardwareGraphBytes() const {
@@ -148,11 +136,7 @@ uint64_t AhoCorasick::HardwareGraphBytes() const {
   // nodes (two cache lines of indexed transitions plus metadata), 8 bytes
   // per transition record, and a dense 256-entry root dispatch row. For the
   // 33,471-pattern corpus this lands within 0.2% of Table 7's 97.28 MB.
-  uint64_t transitions = 0;
-  for (const Node& node : nodes_) {
-    transitions += node.next.size();
-  }
-  return nodes_.size() * 144 + transitions * 8 + 256 * 8;
+  return node_count() * 144 + edge_byte_.size() * 8 + 256 * 8;
 }
 
 std::vector<std::string> GenerateDpiRuleset(size_t count, uint64_t seed,

@@ -7,10 +7,35 @@
 // the ruleset, stored in the function's RAM ("the complete DPI graph"), and
 // walked byte-by-byte by accelerator hardware threads that cache hot nodes
 // in SRAM.
+//
+// Layout. Like the crate, the automaton lives in a few contiguous arrays
+// rather than one heap object per node. Nodes are numbered in BFS order, and
+// each node's children are numbered together in ascending byte order, so
+// the trie's edges form a CSR table: node s owns edges
+// [edge_begin_[s], edge_begin_[s + 1]) of `edge_byte_`, and edge k always
+// leads to node k + 1 (no target array is needed). The root also has a
+// dense 256-entry row, so every failure chain ends in one load. `hit_`
+// holds, per node, the longest pattern-ending suffix node (the node itself
+// if a pattern ends there, else its dictionary link), so ScanFirstMatch does
+// one transition and one load per byte; a node's dictionary link is
+// `hit_[fail_[s]]`.
+//
+// Construction sorts the pattern indices by (bytes, id) and walks the
+// sorted ranges level by level: the patterns sharing a node's prefix are one
+// contiguous range, the ones ending at the node sort first, and the rest
+// split by their next byte into the node's children. Fail links then take
+// one pass in node order, since every parent precedes its children.
+//
+// Oracle. `ReferenceAhoCorasick` (aho_corasick_reference.h) keeps the
+// original pointer-per-node trie. Tests check that both engines agree on
+// every MatchResult field and on the graph sizes; the sizes (and therefore
+// Table 6's DPI heap, Table 7's graph and the DPI arena addresses of Fig. 5)
+// depend only on the trie's shape, not on how it is stored.
 
 #ifndef SNIC_ACCEL_AHO_CORASICK_H_
 #define SNIC_ACCEL_AHO_CORASICK_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -40,7 +65,7 @@ class AhoCorasick {
   MatchResult ScanFirstMatch(std::span<const uint8_t> data) const;
 
   size_t pattern_count() const { return pattern_count_; }
-  size_t node_count() const { return nodes_.size(); }
+  size_t node_count() const { return fail_.size(); }
 
   // Logical size of the matching graph as laid out in NF RAM (the software
   // automaton backing the DPI network function; Table 6's DPI heap).
@@ -51,18 +76,15 @@ class AhoCorasick {
   uint64_t HardwareGraphBytes() const;
 
  private:
-  struct Node {
-    // Sorted by byte for binary search.
-    std::vector<std::pair<uint8_t, int32_t>> next;
-    int32_t fail = 0;
-    int32_t dict_link = -1;    // nearest suffix node that ends a pattern
-    int32_t pattern_id = -1;   // pattern ending exactly here (first one)
-    uint32_t patterns_here = 0;  // number of patterns ending exactly here
-  };
-
   int32_t Transition(int32_t state, uint8_t byte) const;
 
-  std::vector<Node> nodes_;
+  std::vector<uint32_t> edge_begin_;  // node_count() + 1 CSR offsets
+  std::vector<uint8_t> edge_byte_;    // edge k leads to node k + 1
+  std::array<int32_t, 256> root_next_{};
+  std::vector<int32_t> fail_;
+  std::vector<int32_t> hit_;          // -1 when no pattern is a suffix
+  std::vector<int32_t> pattern_id_;   // smallest id ending here, or -1
+  std::vector<uint32_t> patterns_here_;  // number of patterns ending here
   size_t pattern_count_;
 };
 

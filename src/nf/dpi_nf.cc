@@ -38,21 +38,24 @@ Verdict DpiNf::HandlePacket(net::Packet& packet) {
   // stride. Node popularity is graded like the trie itself: half the
   // touches stay within the root fan-out (~24 KB), most of the rest within
   // the hot top levels, and 1/32 dive deep into the full graph.
-  uint64_t walk = 0x9e3779b97f4a7c15ULL ^ packet.flow_rank();
-  for (size_t i = 0; i < payload.size(); i += 4) {
-    walk = walk * 6364136223846793005ULL + payload[i] + 1;
-    const uint64_t tier = walk & 31;
-    uint64_t region;
-    if (tier == 0) {
-      region = graph_allocation_.bytes;  // deep excursion
-    } else if (tier < 16) {
-      region = std::min<uint64_t>(config_.hot_graph_bytes,
-                                  graph_allocation_.bytes);
-    } else {
-      region = std::min<uint64_t>(24 * 1024, graph_allocation_.bytes);
+  // The walk only feeds the recorder, so skip it when nothing records.
+  if (recorder_.attached()) {
+    uint64_t walk = 0x9e3779b97f4a7c15ULL ^ packet.flow_rank();
+    for (size_t i = 0; i < payload.size(); i += 4) {
+      walk = walk * 6364136223846793005ULL + payload[i] + 1;
+      const uint64_t tier = walk & 31;
+      uint64_t region;
+      if (tier == 0) {
+        region = graph_allocation_.bytes;  // deep excursion
+      } else if (tier < 16) {
+        region = std::min<uint64_t>(config_.hot_graph_bytes,
+                                    graph_allocation_.bytes);
+      } else {
+        region = std::min<uint64_t>(24 * 1024, graph_allocation_.bytes);
+      }
+      recorder_.Load(graph_allocation_.base + ((walk >> 8) % region) / 64 * 64);
+      recorder_.Compute(config_.instructions_per_byte * 4);
     }
-    recorder_.Load(graph_allocation_.base + ((walk >> 8) % region) / 64 * 64);
-    recorder_.Compute(config_.instructions_per_byte * 4);
   }
 
   const accel::MatchResult result = automaton_->ScanFirstMatch(payload);
