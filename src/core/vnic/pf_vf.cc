@@ -88,7 +88,7 @@ Status PfVfManager::RebindVf(uint32_t vf_id, uint64_t new_nf_id,
   return OkStatus();
 }
 
-void PfVfManager::ResetLocked(uint32_t vf_id, Vf& vf) {
+void PfVfManager::ResetLocked([[maybe_unused]] uint32_t vf_id, Vf& vf) {
   vf.ring.Reset();
   vf.cq.Reset();
   vf.doorbell.Reset();
@@ -400,7 +400,8 @@ void PfVfManager::SetAbuseCallback(AbuseCallback callback) {
   abuse_callback_ = std::move(callback);
 }
 
-void PfVfManager::AttachVfObs(uint32_t vf_id, Vf& vf) {
+void PfVfManager::AttachVfObs([[maybe_unused]] uint32_t vf_id,
+                              [[maybe_unused]] Vf& vf) {
   SNIC_OBS({
     if (registry_ == nullptr) {
       return;

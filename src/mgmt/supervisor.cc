@@ -72,13 +72,8 @@ void Supervisor::AttachTraceRing(obs::TraceRing* ring) {
   (void)ring;
 }
 
-void Supervisor::Emit(std::string_view event, const std::string& name,
-                      const Child& child) {
-  if (trace_ != nullptr) {
-    trace_->AddInstant(event, now_, static_cast<uint32_t>(child.nf_id), 0,
-                       {{"nf", name},
-                        {"cause", std::string(CrashCauseName(child.last_cause))}});
-  }
+void Supervisor::Emit([[maybe_unused]] std::string_view event,
+                      [[maybe_unused]] const Child& child) {
   SNIC_TRACE_RING(if (ring_ != nullptr) {
     // Event strings here are the registry constants themselves; resolve to
     // the pre-interned id by identity so the hot path never re-interns.
@@ -102,7 +97,7 @@ void Supervisor::Emit(std::string_view event, const std::string& name,
 }
 
 Status Supervisor::LaunchChild(const std::string& name, Child& child,
-                               uint64_t attempt) {
+                               [[maybe_unused]] uint64_t attempt) {
   FunctionImage launch_image = child.image;
   if (child.degraded) {
     // Graceful degradation: the function's accelerator cluster keeps
@@ -210,12 +205,11 @@ uint64_t Supervisor::BackoffCycles(uint32_t consecutive_failures) {
   return backoff;
 }
 
-void Supervisor::HandleCrash(const std::string& name, Child& child,
-                             CrashCause cause) {
+void Supervisor::HandleCrash(Child& child, CrashCause cause) {
   ++stats_.crashes;
   SNIC_OBS(if (obs_crashes_ != nullptr) obs_crashes_->Inc());
   child.last_cause = cause;
-  Emit(obs::spans::kSupervisorCrash, name, child);
+  Emit(obs::spans::kSupervisorCrash, child);
 
   // The instance is gone as far as the tenant is concerned; reclaim its
   // resources through the trusted teardown path. Failure just means the
@@ -239,7 +233,7 @@ void Supervisor::HandleCrash(const std::string& name, Child& child,
       child.degraded = true;
       ++stats_.accel_downgrades;
       SNIC_OBS(if (obs_downgrades_ != nullptr) obs_downgrades_->Inc());
-      Emit(obs::spans::kSupervisorDowngrade, name, child);
+      Emit(obs::spans::kSupervisorDowngrade, child);
     }
   }
 
@@ -247,7 +241,7 @@ void Supervisor::HandleCrash(const std::string& name, Child& child,
     child.health = NfHealth::kQuarantined;
     ++stats_.quarantines;
     SNIC_OBS(if (obs_quarantines_ != nullptr) obs_quarantines_->Inc());
-    Emit(obs::spans::kSupervisorQuarantine, name, child);
+    Emit(obs::spans::kSupervisorQuarantine, child);
     return;
   }
   child.health = NfHealth::kRestarting;
@@ -259,7 +253,7 @@ void Supervisor::ReportCrash(const std::string& name, CrashCause cause) {
   if (it == children_.end() || it->second.health != NfHealth::kRunning) {
     return;
   }
-  HandleCrash(name, it->second, cause);
+  HandleCrash(it->second, cause);
 }
 
 void Supervisor::Tick(uint64_t now_cycles) {
@@ -271,7 +265,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
       if (child.health == NfHealth::kRunning &&
           now_ - child.last_heartbeat > config_.watchdog_timeout_cycles) {
         ++stats_.watchdog_timeouts;
-        HandleCrash(name, child, CrashCause::kWatchdog);
+        HandleCrash(child, CrashCause::kWatchdog);
       }
     }
   }
@@ -311,7 +305,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
         child.health = NfHealth::kQuarantined;
         ++stats_.quarantines;
         SNIC_OBS(if (obs_quarantines_ != nullptr) obs_quarantines_->Inc());
-        Emit(obs::spans::kSupervisorQuarantine, name, child);
+        Emit(obs::spans::kSupervisorQuarantine, child);
       } else {
         child.restart_due = now_ + BackoffCycles(child.consecutive_failures);
       }
@@ -322,7 +316,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
     child.last_heartbeat = now_;
     ++stats_.restarts;
     SNIC_OBS(if (obs_restarts_ != nullptr) obs_restarts_->Inc());
-    Emit(obs::spans::kSupervisorRestart, name, child);
+    Emit(obs::spans::kSupervisorRestart, child);
     if (restart_callback_) {
       restart_callback_(name, old_id, child.nf_id);
     }

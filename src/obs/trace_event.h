@@ -1,4 +1,4 @@
-// Chrome-trace / Perfetto-compatible event tracing over simulated cycles.
+// Chrome-trace / Perfetto JSON renderer for the binary span ring.
 //
 // Emits the Trace Event Format consumed by chrome://tracing and
 // https://ui.perfetto.dev: a JSON object {"traceEvents":[...]} whose entries
@@ -8,16 +8,12 @@
 // so a whole Fig. 5 replay can be opened in Perfetto and the FCFS-vs-temporal
 // bus schedules *seen* side by side.
 //
-// The log is an append-only vector; recording a span is one emplace_back
-// (no I/O, no locking). Serialization happens once at the end of a run.
-//
-// Threading: a TraceLog is SINGLE-OWNER — it belongs to the scenario/task
-// that records into it, and per-task logs are stitched together with
-// Append() on the joining thread (src/runtime/sweep.cc). There is
-// deliberately no mutex (appending is on the <2% obs-overhead hot path);
-// the contract is enforced dynamically by the TSan CI job rather than by
-// clang -Wthread-safety, which covers the mutex-guarded classes
-// (docs/STATIC_ANALYSIS.md).
+// TraceLog is an OFFLINE exporter, not a runtime sink: nothing records into
+// it while a simulation runs. obs::TraceRing (trace_ring.h) is the only
+// runtime trace sink; TraceRing::ConvertTo replays a finished ring into a
+// TraceLog, and ToJson()/WriteFile() render it (bench/fig5_common.h
+// --trace-out, `snic_trace convert`). A TraceLog is single-owner and
+// carries no mutex.
 
 #ifndef SNIC_OBS_TRACE_EVENT_H_
 #define SNIC_OBS_TRACE_EVENT_H_
@@ -60,14 +56,6 @@ class TraceLog {
   void SetThreadName(uint32_t pid, uint32_t tid, std::string_view name);
 
   size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
-  const std::vector<TraceEvent>& events() const { return events_; }
-  void Clear();
-
-  // Appends another log's events and lane names in their recorded order.
-  // Used by the parallel sweep runtime to stitch per-task logs together in
-  // task-index order, reproducing the single serial log byte-for-byte.
-  void Append(const TraceLog& other);
 
   // {"traceEvents":[...]} with metadata ('M') records first.
   std::string ToJson() const;
@@ -83,31 +71,6 @@ class TraceLog {
 
   std::vector<TraceEvent> events_;
   std::vector<LaneName> lane_names_;
-};
-
-// RAII complete-span over a caller-owned simulated clock: reads *cycle_clock
-// at construction and again at destruction (or End()). Pass the address of
-// the cycle counter the instrumented code advances.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceLog* log, std::string_view name, uint32_t pid, uint32_t tid,
-             const uint64_t* cycle_clock);
-  ~ScopedSpan();
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  // Emits the span early; the destructor then does nothing.
-  void End();
-
- private:
-  TraceLog* log_;
-  std::string name_;
-  uint32_t pid_;
-  uint32_t tid_;
-  const uint64_t* cycle_clock_;
-  uint64_t start_;
-  bool ended_ = false;
 };
 
 }  // namespace snic::obs

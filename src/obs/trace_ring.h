@@ -1,19 +1,20 @@
-// Fixed-record binary ring-buffer trace encoder.
+// Fixed-record binary ring-buffer trace encoder: the only runtime trace
+// sink.
 //
 // TraceLog (trace_event.h) allocates a std::string per event and stringifies
-// labels on the hot path — measured at ~15% on the Fig. 5a replay loop
-// (BENCH_obs_overhead.json), which is why traces got switched off for the
-// big sweeps. TraceRing replaces that hot path with a POD record per event:
+// labels — measured at ~15% on the Fig. 5a replay loop
+// (BENCH_obs_overhead.json) — so it survives only as the offline Chrome-JSON
+// renderer behind ConvertTo(). TraceRing records a POD record per event:
 // interned 16-bit name ids (registered once at attach time), a 64-bit span
 // id minted at VPP ingress and propagated across layers, and one free
 // argument word. Recording is a handful of stores into a preallocated ring;
 // serialization, JSON conversion and analysis all happen offline after the
 // run (tools/snic_trace).
 //
-// Determinism contract (docs/RUNTIME.md): like TraceLog, a TraceRing is
-// SINGLE-OWNER — the parallel sweep runtime records into one ring per task
-// and stitches them with Append() on the joining thread in task-index order,
-// so ToChromeJson() and SerializeBinary() are byte-identical at every
+// Determinism contract (docs/RUNTIME.md): a TraceRing is SINGLE-OWNER —
+// the parallel sweep runtime records into one ring per task and stitches
+// them with Append() on the joining thread in task-index order, so
+// ToChromeJson() and SerializeBinary() are byte-identical at every
 // --jobs count. There is deliberately no mutex; the TSan CI job enforces
 // the contract dynamically.
 //

@@ -1,5 +1,6 @@
 #include "src/scenario/runner.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -12,11 +13,13 @@
 #include "src/accel/accelerator.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/core/chaining.h"
 #include "src/core/overload.h"
 #include "src/core/vnic/descriptor.h"
 #include "src/core/vnic/pf_vf.h"
 #include "src/crypto/keys.h"
 #include "src/fault/fault.h"
+#include "src/mgmt/autoscaler.h"
 #include "src/mgmt/dma.h"
 #include "src/mgmt/nic_os.h"
 #include "src/net/parser.h"
@@ -32,6 +35,18 @@ namespace {
 
 constexpr uint16_t kVfBufferBytes = 2048;
 constexpr uint16_t kAttackerBufferBytes = 1024;
+// overload.chain_to: the link's per-tick credit and the consumer's fixed
+// per-step drain (slower than the link, so sustained load stalls it).
+constexpr uint32_t kChainFramesPerTick = 6;
+constexpr uint64_t kChainConsumePerStep = 3;
+// overload.elastic_pool: capacity so high that only sustained backpressure
+// (never the load estimate) scales the pool, sampled every 8 steps.
+constexpr uint16_t kElasticPort = 4000;
+constexpr double kElasticCapacity = 100.0;
+constexpr uint32_t kElasticMaxInstances = 4;
+constexpr uint32_t kElasticPressureSteps = 3;
+constexpr uint64_t kElasticSampleSteps = 8;
+constexpr double kElasticRxHighWater = 0.9;
 
 void AppendF(std::string& out, const char* fmt, ...) {
   char line[512];
@@ -68,8 +83,7 @@ mgmt::FunctionImage MakeImage(const TenantSpec& tenant) {
   return image;
 }
 
-// Encodes a block of in-order RX descriptors continuing at `posted_total`
-// (the hostile soak's refill idiom).
+// Encodes a block of in-order RX descriptors continuing at `posted_total`.
 std::vector<uint8_t> RefillBlock(uint64_t posted_total, uint32_t count,
                                  uint32_t ring_slots, uint16_t buffer_len) {
   std::vector<core::vnic::RxDescriptor> batch;
@@ -120,14 +134,14 @@ struct TenantState {
   obs::Counter* rx_counter = nullptr;
   obs::Counter* tx_counter = nullptr;
   // Recovery tracking.
-  mgmt::NfHealth prev_health = mgmt::NfHealth::kRunning;
   uint64_t crash_step = 0;
   bool crash_open = false;
 };
 
 }  // namespace
 
-RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
+RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
+                           obs::TraceRing* trace_ring) {
   RunResult result;
   const size_t n = spec.tenants.size();
   result.tenants.resize(n);
@@ -135,7 +149,8 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
 
   obs::MetricRegistry registry;
   obs::ScopedDefaultRegistry scoped_registry(&registry);
-  obs::TraceRing ring;
+  obs::TraceRing local_ring;
+  obs::TraceRing& ring = trace_ring != nullptr ? *trace_ring : local_ring;
 
   fault::FaultPlane plane(runtime::DeriveTaskSeed(seed, 1));
   plane.AttachObs(&registry);
@@ -254,6 +269,28 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
     }
   });
 
+  // The overload target's optional credit chain to its downstream consumer,
+  // re-created whenever either endpoint relaunches under a new id.
+  const size_t target_index =
+      spec.has_overload ? index_of.at(spec.overload.target) : n;
+  const size_t chain_index =
+      spec.has_overload && !spec.overload.chain_to.empty()
+          ? index_of.at(spec.overload.chain_to)
+          : n;
+  core::ChainManager chains(&device);
+  const auto relink_chain = [&](size_t i, uint64_t old_id) {
+    if (chain_index == n || (i != target_index && i != chain_index)) {
+      return;
+    }
+    chains.RemoveLinksFor(old_id);
+    core::ChainLinkConfig link;
+    link.producer_nf = state[target_index].nf_id;
+    link.consumer_nf = state[chain_index].nf_id;
+    link.frames_per_tick = kChainFramesPerTick;
+    link.flow_control = core::ChainFlowControl::kCredit;
+    SNIC_CHECK(chains.CreateLink(link).ok());
+  };
+
   supervisor.SetRestartCallback([&](const std::string& name, uint64_t old_id,
                                     uint64_t new_id) {
     const auto it = index_of.find(name);
@@ -270,10 +307,11 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
       SNIC_CHECK_OK(
           front_end.RebindVf(state[i].vf, new_id, device.Vpp(new_id)));
     }
+    relink_chain(i, old_id);
   });
 
   // The spec's fault schedule, installed after setup (skip/count windows
-  // start from here, matching the soaks' install-after-adopt discipline).
+  // start from here, so adoption never consumes a rule's hits).
   for (const FaultRuleSpec& r : spec.faults) {
     fault::FaultRule rule;
     rule.site = r.site;
@@ -291,6 +329,25 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
     rule.stall_cycles = r.stall_cycles;
     rule.on_attempt = r.on_attempt;
     plane.AddRule(rule);
+  }
+
+  if (chain_index < n) {
+    chains.AttachTraceRing(&ring);
+    relink_chain(target_index, state[target_index].nf_id);
+  }
+  std::unique_ptr<mgmt::Autoscaler> pool;
+  if (spec.has_overload && spec.overload.elastic_pool) {
+    TenantSpec unit;
+    unit.name = "elastic";
+    unit.port = kElasticPort;
+    mgmt::AutoscalerConfig pool_config;
+    pool_config.image = MakeImage(unit);
+    pool_config.image.memory_bytes = 4ull << 20;
+    pool_config.capacity_per_instance = kElasticCapacity;
+    pool_config.min_instances = 1;
+    pool_config.max_instances = kElasticMaxInstances;
+    pool_config.pressure_scale_up_after = kElasticPressureSteps;
+    pool = std::make_unique<mgmt::Autoscaler>(&nic_os, pool_config);
   }
 
   std::unique_ptr<sim::TemporalPartitionArbiter> bus;
@@ -316,10 +373,16 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
 
   // The overload target's breaker-gated accelerator dispatch; recreated
   // (state and all) when the target relaunches, like a fresh instance.
-  const size_t target_index =
-      spec.has_overload ? index_of.at(spec.overload.target) : n;
   std::unique_ptr<core::AccelDispatchGate> gate;
   uint64_t gate_generation = 0;
+  const auto retire_gate = [&] {
+    if (gate != nullptr) {
+      const core::CircuitBreakerStats& b = gate->breaker().stats();
+      result.breaker_opens += b.opens;
+      result.breaker_reopens += b.reopens;
+      result.breaker_closes += b.closes;
+    }
+  };
   const auto ensure_gate = [&](size_t i) {
     if (!spec.has_overload || i != target_index ||
         spec.tenants[i].zip_clusters == 0) {
@@ -332,13 +395,29 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
     breaker_config.failures_to_open = 3;
     breaker_config.open_cycles = 10 * cps;
     breaker_config.half_open_successes = 2;
+    retire_gate();
     gate = std::make_unique<core::AccelDispatchGate>(
         &device.accel_pool(), state[i].nf_id, breaker_config);
     gate_generation = result.tenants[i].restarts;
   };
 
   uint64_t offered_acc = 0;
-  uint64_t accel_frames = 0, software_frames = 0;
+  uint64_t chain_consumed = 0;
+
+  // With a chain the target's TX belongs to the link, so the wire drains
+  // every other tenant's pipeline and never the target's.
+  const auto next_wire_frame = [&]() -> Result<net::Packet> {
+    if (chain_index == n) {
+      return device.TransmitToWire();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      core::VirtualPacketPipeline* vpp = device.Vpp(state[i].nf_id);
+      if (i != target_index && vpp != nullptr && vpp->PeekTx() != nullptr) {
+        return vpp->DequeueTx();
+      }
+    }
+    return NotFound("no pending TX");
+  };
 
   for (uint64_t step = 0; step < spec.steps; ++step) {
     const uint64_t now = (step + 1) * cps;
@@ -496,8 +575,8 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
         continue;
       }
 
-      // Workload tenants.
-      if (!running) {
+      // Workload tenants (the chain consumer is served after the hop).
+      if (!running || i == chain_index) {
         continue;
       }
       const bool hung = SNIC_FAULT_FIRES(fault::sites::kNfHang, ts.nf_id);
@@ -518,13 +597,8 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
             break;
           }
           if (gate != nullptr && cluster >= 0) {
-            const auto access = gate->Dispatch(
-                zip, static_cast<uint32_t>(cluster), 0x1000, false, now);
-            if (access.ok()) {
-              ++accel_frames;
-            } else {
-              ++software_frames;
-            }
+            (void)gate->Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000,
+                                 false, now);
           }
           if (!device.NfSend(ts.nf_id, std::move(received).value()).ok()) {
             ++ts.tx_rejected;
@@ -574,6 +648,32 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
       }
     }
 
+    // --- Chain hop, downstream consumer, elastic pool ---------------------
+    if (chain_index < n) {
+      chains.TickAll();
+      const std::string& name = spec.tenants[chain_index].name;
+      if (supervisor.HealthOf(name) == mgmt::NfHealth::kRunning) {
+        for (uint64_t k = 0; k < kChainConsumePerStep; ++k) {
+          if (!device.NfReceive(state[chain_index].nf_id).ok()) {
+            break;
+          }
+          ++chain_consumed;
+        }
+        supervisor.Heartbeat(name);
+      }
+    }
+    if (pool != nullptr &&
+        step % kElasticSampleSteps == kElasticSampleSteps - 1) {
+      const uint64_t target_id = state[target_index].nf_id;
+      const core::VirtualPacketPipeline* vpp = device.Vpp(target_id);
+      const bool pressured =
+          chains.AnyBackpressure(target_id) ||
+          (vpp != nullptr && vpp->RxFillFraction() > kElasticRxHighWater);
+      // A launch the device cannot fit is the pool's failure, absorbed or
+      // counted in its stats; it never aborts the run.
+      (void)pool->Step(1.0, pressured);
+    }
+
     supervisor.Tick(now);
 
     // Mirror Supervisor quarantine verdicts to the device edge: from here
@@ -602,12 +702,11 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
         }
         ts.crash_open = false;
       }
-      ts.prev_health = health;
     }
 
     // --- Drain the wire; attribute frames by destination port ------------
     for (;;) {
-      auto out = device.TransmitToWire();
+      auto out = next_wire_frame();
       if (!out.ok()) {
         break;
       }
@@ -673,6 +772,7 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
               vfs.dropped_no_descriptor, vfs.dropped_cq_full, vfs.dropped_vpp,
               vfs.dropped_quarantined, vfs.abuse_flags,
               vfs.max_delivery_wait_cycles);
+      outcome.vf_max_wait_cycles = vfs.max_delivery_wait_cycles;
     }
     AppendF(report, "%s.metrics: tx=%" PRIu64 "\n", t.name.c_str(),
             ts.tx_counter->value());
@@ -694,7 +794,9 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
   }
 
   if (spec.has_overload && target_index < n) {
-    result.target_goodput = result.tenants[target_index].wire_packets;
+    result.target_goodput = chain_index < n
+                                ? chain_consumed
+                                : result.tenants[target_index].wire_packets;
     const core::VirtualPacketPipeline* vpp =
         device.Vpp(state[target_index].nf_id);
     if (vpp != nullptr) {
@@ -702,120 +804,235 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
       result.queue_peak_bytes = vpp->stats().rx_peak_bytes;
     }
   }
-  (void)accel_frames;
-  (void)software_frames;
+  retire_gate();
+  if (pool != nullptr) {
+    result.pressure_scale_ups = pool->stats().pressure_scale_ups;
+  }
   result.supervisor = supervisor.stats();
   result.restart_queue_peak = supervisor.restart_queue_peak();
   result.faults_injected = plane.injected_total();
   return result;
 }
 
+namespace {
+
+// One evaluated predicate, rendered as name=ok or name=FAIL(why).
+struct Check {
+  std::string name;
+  bool ok = true;
+  std::string why;
+};
+
+size_t TenantIndex(const ScenarioSpec& spec, const std::string& name) {
+  for (size_t i = 0; i < spec.tenants.size(); ++i) {
+    if (spec.tenants[i].name == name) {
+      return i;
+    }
+  }
+  return spec.tenants.size();
+}
+
+// The predicates one subject run must satisfy (at every ladder point), in
+// verdict-detail order.
+std::vector<Check> PointChecks(const ScenarioSpec& spec,
+                               const RunResult& subject,
+                               const RunResult& baseline) {
+  const VerdictSpec& v = spec.verdicts;
+  std::vector<Check> checks;
+  if (v.bystander_identical) {
+    Check c{"bystander_identical", true, ""};
+    for (size_t i = 0; i < spec.tenants.size(); ++i) {
+      if (spec.tenants[i].role == TenantRole::kBystander &&
+          subject.tenants[i].report != baseline.tenants[i].report) {
+        c.ok = false;
+        c.why = spec.tenants[i].name;
+      }
+    }
+    checks.push_back(c);
+  }
+  for (const std::string& name : v.containment) {
+    const size_t i = TenantIndex(spec, name);
+    const TenantOutcome& o = subject.tenants[i];
+    checks.push_back({"containment:" + name,
+                      o.final_health == mgmt::NfHealth::kQuarantined &&
+                          (!spec.tenants[i].has_vf || o.edge_quarantined),
+                      std::string(mgmt::NfHealthName(o.final_health))});
+  }
+  for (const std::string& name : v.must_recover) {
+    const TenantOutcome& o = subject.tenants[TenantIndex(spec, name)];
+    checks.push_back(
+        {"must_recover:" + name,
+         o.final_health == mgmt::NfHealth::kRunning && o.restarts >= 1,
+         "health=" + std::string(mgmt::NfHealthName(o.final_health)) +
+             ",restarts=" + std::to_string(o.restarts)});
+  }
+  if (v.recovery_deadline_steps > 0) {
+    Check c{"recovery_deadline", true, ""};
+    for (size_t i = 0; i < spec.tenants.size(); ++i) {
+      const TenantOutcome& o = subject.tenants[i];
+      if (o.worst_recovery_steps > v.recovery_deadline_steps) {
+        c.ok = false;
+        c.why = spec.tenants[i].name + "=" +
+                std::to_string(o.worst_recovery_steps);
+      }
+    }
+    checks.push_back(c);
+  }
+  if (v.goodput_floor_pct > 0) {
+    checks.push_back({"goodput_floor",
+                      subject.target_goodput * 100 >=
+                          baseline.target_goodput * v.goodput_floor_pct,
+                      std::to_string(subject.target_goodput) + "/" +
+                          std::to_string(baseline.target_goodput)});
+  }
+  if (v.queue_bound) {
+    const uint64_t cap = spec.tenants[TenantIndex(spec, spec.overload.target)]
+                             .policy.rx_queue_capacity_frames;
+    checks.push_back({"queue_bound",
+                      subject.queue_peak_frames <= cap &&
+                          subject.queue_peak_bytes <= cap * kMaxFrameBytes,
+                      "peak=" + std::to_string(subject.queue_peak_frames) +
+                          "/" + std::to_string(cap)});
+  }
+  if (!v.detect_abuse.empty()) {
+    // Detection only counts when the twin's well-behaved attacker was left
+    // alone: nothing flagged, nothing crashed, its frames on the wire.
+    uint64_t baseline_flags = baseline.false_abuse_flags;
+    for (const uint64_t reports : baseline.abuse_reports) {
+      baseline_flags += reports;
+    }
+    const uint64_t attacker_wire =
+        baseline.tenants[TenantIndex(spec, spec.attack.target)].wire_packets;
+    const bool baseline_clean = baseline_flags == 0 &&
+                                baseline.supervisor.crashes == 0 &&
+                                attacker_wire > 0;
+    const std::string baseline_why =
+        "baseline:flags=" + std::to_string(baseline_flags) +
+        ",crashes=" + std::to_string(baseline.supervisor.crashes) +
+        ",wire=" + std::to_string(attacker_wire);
+    for (const std::string& kind : v.detect_abuse) {
+      const int ordinal = kind == "flood"   ? 0
+                          : kind == "squat" ? 1
+                          : kind == "desc"  ? 2
+                                            : 3;
+      const bool flagged = subject.abuse_reports[ordinal] > 0;
+      checks.push_back({"detect_abuse:" + kind, flagged && baseline_clean,
+                        flagged ? baseline_why : "unflagged"});
+    }
+  }
+  if (v.vf_wait_bound_steps > 0) {
+    Check c{"vf_wait_bound", true, ""};
+    const uint64_t bound = v.vf_wait_bound_steps * spec.cycles_per_step;
+    for (size_t i = 0; i < spec.tenants.size(); ++i) {
+      const uint64_t wait = subject.tenants[i].vf_max_wait_cycles;
+      if (spec.tenants[i].role == TenantRole::kBystander && wait > bound) {
+        c.ok = false;
+        c.why = spec.tenants[i].name + "=" + std::to_string(wait) + "/" +
+                std::to_string(bound);
+      }
+    }
+    if (subject.false_abuse_flags != 0) {
+      c.ok = false;
+      c.why = "false_flags=" + std::to_string(subject.false_abuse_flags);
+    }
+    checks.push_back(c);
+  }
+  return checks;
+}
+
+}  // namespace
+
 ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
   const VerdictSpec& v = spec.verdicts;
-  ScenarioVerdict verdict;
-  verdict.pass = true;
-  std::string& detail = verdict.detail;
+  const std::vector<uint64_t>& ladder = spec.overload.ladder_pct;
 
-  const RunResult subject = RunConstellation(spec, seed);
-  const bool needs_baseline = v.bystander_identical || v.goodput_floor_pct > 0;
+  std::vector<RunResult> points;
+  if (ladder.empty()) {
+    points.push_back(RunConstellation(spec, seed));
+  }
+  for (const uint64_t pct : ladder) {
+    ScenarioSpec point = spec;
+    point.overload.load_pct = pct;
+    points.push_back(RunConstellation(point, seed));
+  }
+  const bool needs_baseline = v.bystander_identical ||
+                              v.goodput_floor_pct > 0 ||
+                              !v.detect_abuse.empty();
   RunResult baseline;
   if (needs_baseline) {
     baseline = RunConstellation(BaselineTwin(spec), seed);
   }
 
-  const auto check = [&](const char* name, bool ok,
-                         const std::string& why = "") {
+  // Per-run predicates: the first failing point's reason wins.
+  std::vector<Check> checks;
+  for (size_t k = 0; k < points.size(); ++k) {
+    std::vector<Check> at = PointChecks(spec, points[k], baseline);
+    if (!ladder.empty()) {
+      for (Check& c : at) {
+        c.why = "load=" + std::to_string(ladder[k]) +
+                (c.why.empty() ? "" : ":" + c.why);
+      }
+    }
+    if (k == 0) {
+      checks = std::move(at);
+      continue;
+    }
+    for (size_t j = 0; j < at.size(); ++j) {
+      if (checks[j].ok && !at[j].ok) {
+        checks[j] = std::move(at[j]);
+      }
+    }
+  }
+
+  // Cross-point predicates over the ladder (the top point is the last run).
+  const RunResult& top = points.back();
+  if (v.goodput_non_collapsing_pct > 0) {
+    Check c{"goodput_non_collapsing", true, ""};
+    uint64_t best = 0;
+    for (size_t k = 0; k < points.size(); ++k) {
+      const uint64_t goodput = points[k].target_goodput;
+      if (c.ok && goodput * 100 < best * v.goodput_non_collapsing_pct) {
+        c.ok = false;
+        c.why = "load=" + std::to_string(ladder[k]) + ":" +
+                std::to_string(goodput) + "/" + std::to_string(best);
+      }
+      best = std::max(best, goodput);
+    }
+    checks.push_back(c);
+  }
+  if (v.pressure_scale_out) {
+    const uint64_t low = points.front().pressure_scale_ups;
+    checks.push_back({"pressure_scale_out",
+                      top.pressure_scale_ups >= 1 && low == 0,
+                      "low=" + std::to_string(low) +
+                          ",top=" + std::to_string(top.pressure_scale_ups)});
+  }
+  if (v.breaker_cycle) {
+    checks.push_back({"breaker_cycle",
+                      top.breaker_opens >= 1 && top.breaker_reopens >= 1 &&
+                          top.breaker_closes >= 1,
+                      "opens=" + std::to_string(top.breaker_opens) +
+                          ",reopens=" + std::to_string(top.breaker_reopens) +
+                          ",closes=" + std::to_string(top.breaker_closes)});
+  }
+
+  ScenarioVerdict verdict;
+  verdict.pass = true;
+  std::string& detail = verdict.detail;
+  for (const Check& c : checks) {
     if (!detail.empty()) {
       detail += " ";
     }
-    detail += name;
-    if (ok) {
+    detail += c.name;
+    if (c.ok) {
       detail += "=ok";
     } else {
       verdict.pass = false;
       detail += "=FAIL";
-      if (!why.empty()) {
-        detail += "(" + why + ")";
+      if (!c.why.empty()) {
+        detail += "(" + c.why + ")";
       }
     }
-  };
-  const auto index_of = [&](const std::string& name) {
-    for (size_t i = 0; i < spec.tenants.size(); ++i) {
-      if (spec.tenants[i].name == name) {
-        return i;
-      }
-    }
-    return spec.tenants.size();
-  };
-
-  if (v.bystander_identical) {
-    bool identical = true;
-    std::string who;
-    for (size_t i = 0; i < spec.tenants.size(); ++i) {
-      if (spec.tenants[i].role != TenantRole::kBystander) {
-        continue;
-      }
-      if (subject.tenants[i].report != baseline.tenants[i].report) {
-        identical = false;
-        who = spec.tenants[i].name;
-      }
-    }
-    check("bystander_identical", identical, who);
-  }
-  for (const std::string& name : v.containment) {
-    const size_t i = index_of(name);
-    const TenantOutcome& o = subject.tenants[i];
-    const bool contained =
-        o.final_health == mgmt::NfHealth::kQuarantined &&
-        (!spec.tenants[i].has_vf || o.edge_quarantined);
-    check(("containment:" + name).c_str(), contained,
-          std::string(mgmt::NfHealthName(o.final_health)));
-  }
-  for (const std::string& name : v.must_recover) {
-    const size_t i = index_of(name);
-    const TenantOutcome& o = subject.tenants[i];
-    const bool recovered =
-        o.final_health == mgmt::NfHealth::kRunning && o.restarts >= 1;
-    check(("must_recover:" + name).c_str(), recovered,
-          "health=" + std::string(mgmt::NfHealthName(o.final_health)) +
-              ",restarts=" + std::to_string(o.restarts));
-  }
-  if (v.recovery_deadline_steps > 0) {
-    bool within = true;
-    std::string why;
-    for (size_t i = 0; i < spec.tenants.size(); ++i) {
-      const TenantOutcome& o = subject.tenants[i];
-      if (o.worst_recovery_steps > v.recovery_deadline_steps) {
-        within = false;
-        why = spec.tenants[i].name + "=" +
-              std::to_string(o.worst_recovery_steps);
-      }
-    }
-    check("recovery_deadline", within, why);
-  }
-  if (v.goodput_floor_pct > 0) {
-    const bool held = subject.target_goodput * 100 >=
-                      baseline.target_goodput * v.goodput_floor_pct;
-    check("goodput_floor", held,
-          std::to_string(subject.target_goodput) + "/" +
-              std::to_string(baseline.target_goodput));
-  }
-  if (v.queue_bound) {
-    const size_t i = index_of(spec.overload.target);
-    const uint64_t cap = spec.tenants[i].policy.rx_queue_capacity_frames;
-    const bool bounded = subject.queue_peak_frames <= cap &&
-                         subject.queue_peak_bytes <= cap * kMaxFrameBytes;
-    check("queue_bound", bounded,
-          "peak=" + std::to_string(subject.queue_peak_frames) + "/" +
-              std::to_string(cap));
-  }
-  for (const std::string& kind : v.detect_abuse) {
-    const int ordinal = kind == "flood"   ? 0
-                        : kind == "squat" ? 1
-                        : kind == "desc"  ? 2
-                                          : 3;
-    check(("detect_abuse:" + kind).c_str(),
-          subject.abuse_reports[ordinal] > 0);
   }
   if (detail.empty()) {
     detail = "no-predicates";

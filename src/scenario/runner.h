@@ -3,18 +3,19 @@
 // the overload plane and the temporal-partition bus — and evaluates the
 // spec's verdict predicates.
 //
-// RunConstellation is the generic step loop the three bespoke soaks
-// specialize by hand: per-tenant roles pick behavior (workload = chaos
-// victim with DMA/accel crash reporting; bystander = poll/digest/echo with
-// the full observable record; attacker = hostile VF moves), the overload
-// section drives an offered-load accumulator at the target, and the fault
-// schedule is installed verbatim. Everything is seeded through
-// runtime::DeriveTaskSeed lanes exactly like the soaks, so a (spec, seed)
-// pair replays bit-for-bit at any --jobs count.
+// RunConstellation is the one robustness harness: per-tenant roles pick
+// behavior (workload = chaos victim with DMA/accel crash reporting;
+// bystander = poll/digest/echo with the full observable record; attacker =
+// hostile VF moves), the overload section drives an offered-load
+// accumulator at the target (optionally through a credit chain and beside
+// an elastic autoscaler pool), and the fault schedule is installed
+// verbatim. Everything is seeded through runtime::DeriveTaskSeed lanes, so
+// a (spec, seed) pair replays bit-for-bit at any --jobs count.
 //
-// EvaluateScenario runs the subject spec, runs the stripped BaselineTwin
-// when a differential predicate needs it, and reduces both to a one-line
-// pass/fail verdict. Every spec gets a verdict; there is no silent skip.
+// EvaluateScenario runs the subject spec (once per point of a load
+// ladder), runs the stripped BaselineTwin when a differential predicate
+// needs it, and reduces them to a one-line pass/fail verdict. Every spec
+// gets a verdict; there is no silent skip.
 
 #ifndef SNIC_SCENARIO_RUNNER_H_
 #define SNIC_SCENARIO_RUNNER_H_
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/mgmt/supervisor.h"
+#include "src/obs/trace_ring.h"
 #include "src/scenario/spec.h"
 
 namespace snic::scenario {
@@ -44,6 +46,7 @@ struct TenantOutcome {
   uint64_t worst_recovery_steps = 0;
   uint64_t unresolved_crashes = 0;
   uint64_t wire_packets = 0;       // frames this tenant put on the wire
+  uint64_t vf_max_wait_cycles = 0;  // worst RX descriptor wait (VF tenants)
 };
 
 struct RunResult {
@@ -53,18 +56,28 @@ struct RunResult {
   uint64_t faults_injected = 0;
   // Overload-target accounting (zero when the spec has no overload section).
   uint64_t offered = 0;
-  uint64_t target_goodput = 0;        // the target's wire egress
+  // The target's wire egress, or with a chain what the downstream consumed.
+  uint64_t target_goodput = 0;
   uint64_t queue_peak_frames = 0;
   uint64_t queue_peak_bytes = 0;
+  // The target's accelerator breaker transitions, summed over its gates.
+  uint64_t breaker_opens = 0;
+  uint64_t breaker_reopens = 0;
+  uint64_t breaker_closes = 0;
+  // Elastic-pool launches forced by sustained backpressure.
+  uint64_t pressure_scale_ups = 0;
   // Abuse verdicts routed by the front-end: per-kind counts on attacker
   // VFs, plus false flags on anyone else's VF.
   uint64_t abuse_reports[4] = {0, 0, 0, 0};
   uint64_t false_abuse_flags = 0;
 };
 
-// Runs `spec` to completion from `seed`. Deterministic: same (spec, seed)
-// always produces the same RunResult, on any thread.
-RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed);
+// Runs `spec` to completion from `seed`, at overload.load_pct (a ladder is
+// EvaluateScenario's business). Deterministic: same (spec, seed) always
+// produces the same RunResult, on any thread. Spans go to `ring` when the
+// caller passes one (forensics), to a run-local ring otherwise.
+RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
+                           obs::TraceRing* ring = nullptr);
 
 // One scenario's verdict. `detail` lists every evaluated predicate as
 // name=ok or name=FAIL(reason), space-separated — a spec with no predicates
@@ -75,14 +88,16 @@ struct ScenarioVerdict {
   std::string detail;
 };
 
-// Runs the subject spec (and the BaselineTwin when bystander_identical or
-// goodput_floor_pct needs a differential), then checks every predicate in
-// spec.verdicts.
+// Runs the subject spec, once per ladder point when it has one (and the
+// BaselineTwin when bystander_identical, goodput_floor_pct or detect_abuse
+// needs a differential), then checks every predicate in spec.verdicts.
+// Per-run predicates must hold at every point; a FAIL names the point as
+// load=PCT.
 ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed);
 
 // The frame geometry the runner's traffic generator uses: 54-byte headers
 // plus payload 32 + NextBounded(4)*64. Byte-form queue bounds derive from
-// this (the overload soak's kMaxFrameBytes).
+// this.
 inline constexpr uint64_t kMaxFrameBytes = 54 + 32 + 3 * 64;
 
 }  // namespace snic::scenario

@@ -1,7 +1,9 @@
 #include "src/scenario/spec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <set>
 #include <utility>
 
@@ -48,14 +50,14 @@ Result<std::string> AsString(const Value& v, const std::string& where) {
   return v.AsString();
 }
 
-// Per-object strict decoding: every member key must be consumed by the
-// caller's dispatch. `seen` collects the handled keys; any leftover key in
-// the object is an unknown-key rejection.
-Status RejectUnknownKeys(const Value& obj, const std::set<std::string>& known,
+// Per-object strict decoding: every member key must be one the caller's
+// dispatch handles (`known`); any other key is an unknown-key rejection.
+Status RejectUnknownKeys(const Value& obj,
+                         std::initializer_list<std::string_view> known,
                          const std::string& where) {
   for (const auto& [key, value] : obj.AsObject()) {
     (void)value;
-    if (known.count(key) == 0) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
       return Bad(where, "unknown key \"" + key + "\"");
     }
   }
@@ -348,14 +350,18 @@ Status ParseFaultRule(const Value& v, size_t index,
   return OkStatus();
 }
 
-Status ParseOverload(const Value& v, const std::set<std::string>& tenant_names,
+Status ParseOverload(const Value& v, const std::vector<TenantSpec>& tenants,
+                     const std::set<std::string>& tenant_names,
                      OverloadSpec* out) {
   const std::string where = "overload";
   if (!v.is_object()) {
     return Bad(where, "expected an object");
   }
   if (Status s = RejectUnknownKeys(
-          v, {"target", "load_pct", "baseline_pct", "service_per_step"}, where);
+          v,
+          {"target", "load_pct", "baseline_pct", "service_per_step",
+           "ladder_pct", "chain_to", "elastic_pool"},
+          where);
       !s.ok()) {
     return s;
   }
@@ -382,6 +388,44 @@ Status ParseOverload(const Value& v, const std::set<std::string>& tenant_names,
   }
   if (out->service_per_step == 0) {
     return Bad(where + ".service_per_step", "must be positive");
+  }
+  if (const Value* ladder = v.Find("ladder_pct"); ladder != nullptr) {
+    const std::string at = where + ".ladder_pct";
+    if (v.Find("load_pct") != nullptr) {
+      return Bad(at, "ladder_pct and load_pct are mutually exclusive");
+    }
+    if (!ladder->is_array() || ladder->AsArray().empty() ||
+        ladder->AsArray().size() > 16) {
+      return Bad(at, "expected an array of 1 to 16 load percentages");
+    }
+    for (const Value& item : ladder->AsArray()) {
+      auto n = U64(item, at, 100000);
+      if (!n.ok()) return n.status();
+      if (!out->ladder_pct.empty() && n.value() <= out->ladder_pct.back()) {
+        return Bad(at, "points must be strictly increasing");
+      }
+      out->ladder_pct.push_back(n.value());
+    }
+  }
+  if (const Value* chain = v.Find("chain_to"); chain != nullptr) {
+    auto chain_s = AsString(*chain, where + ".chain_to");
+    if (!chain_s.ok()) return chain_s.status();
+    bool is_workload = false;
+    for (const TenantSpec& t : tenants) {
+      is_workload |=
+          t.name == chain_s.value() && t.role == TenantRole::kWorkload;
+    }
+    if (!is_workload || chain_s.value() == out->target) {
+      return Bad(where + ".chain_to",
+                 "\"" + chain_s.value() +
+                     "\" is not a workload-role tenant other than the target");
+    }
+    out->chain_to = chain_s.value();
+  }
+  if (const Value* pool = v.Find("elastic_pool"); pool != nullptr) {
+    auto b = AsBool(*pool, where + ".elastic_pool");
+    if (!b.ok()) return b.status();
+    out->elastic_pool = b.value();
   }
   return OkStatus();
 }
@@ -437,7 +481,8 @@ Status ParseVerdicts(const Value& v, const std::set<std::string>& tenant_names,
           v,
           {"bystander_identical", "containment", "must_recover",
            "recovery_deadline_steps", "goodput_floor_pct", "queue_bound",
-           "detect_abuse"},
+           "detect_abuse", "vf_wait_bound_steps", "goodput_non_collapsing_pct",
+           "pressure_scale_out", "breaker_cycle"},
           where);
       !s.ok()) {
     return s;
@@ -503,6 +548,26 @@ Status ParseVerdicts(const Value& v, const std::set<std::string>& tenant_names,
       }
       out->detect_abuse.push_back(s.value());
     }
+  }
+  if (const Value* w = v.Find("vf_wait_bound_steps"); w != nullptr) {
+    auto n = U64(*w, where + ".vf_wait_bound_steps", 1u << 30);
+    if (!n.ok()) return n.status();
+    out->vf_wait_bound_steps = n.value();
+  }
+  if (const Value* g = v.Find("goodput_non_collapsing_pct"); g != nullptr) {
+    auto n = U64(*g, where + ".goodput_non_collapsing_pct", 100);
+    if (!n.ok()) return n.status();
+    out->goodput_non_collapsing_pct = n.value();
+  }
+  if (const Value* p = v.Find("pressure_scale_out"); p != nullptr) {
+    auto val = AsBool(*p, where + ".pressure_scale_out");
+    if (!val.ok()) return val.status();
+    out->pressure_scale_out = val.value();
+  }
+  if (const Value* b = v.Find("breaker_cycle"); b != nullptr) {
+    auto val = AsBool(*b, where + ".breaker_cycle");
+    if (!val.ok()) return val.status();
+    out->breaker_cycle = val.value();
   }
   return OkStatus();
 }
@@ -646,7 +711,9 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view json_text) {
   }
   if (const Value* overload = root.Find("overload"); overload != nullptr) {
     spec.has_overload = true;
-    if (Status s = ParseOverload(*overload, names, &spec.overload); !s.ok()) {
+    if (Status s = ParseOverload(*overload, spec.tenants, names,
+                                 &spec.overload);
+        !s.ok()) {
       return s;
     }
   }
@@ -696,6 +763,42 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view json_text) {
   if (!spec.verdicts.detect_abuse.empty() && !spec.has_attack) {
     return InvalidArgument(
         "scenario spec: verdicts.detect_abuse requires an attack section");
+  }
+  if (spec.verdicts.vf_wait_bound_steps > 0) {
+    bool has_bystander_vf = false;
+    for (const TenantSpec& t : spec.tenants) {
+      has_bystander_vf |= t.role == TenantRole::kBystander && t.has_vf;
+    }
+    if (!has_bystander_vf) {
+      return InvalidArgument(
+          "scenario spec: verdicts.vf_wait_bound_steps requires a "
+          "bystander-role tenant with a vf");
+    }
+  }
+  const bool has_ladder =
+      spec.has_overload && !spec.overload.ladder_pct.empty();
+  if (spec.verdicts.goodput_non_collapsing_pct > 0 && !has_ladder) {
+    return InvalidArgument(
+        "scenario spec: verdicts.goodput_non_collapsing_pct requires "
+        "overload.ladder_pct");
+  }
+  if (spec.verdicts.pressure_scale_out &&
+      (!has_ladder || !spec.overload.elastic_pool)) {
+    return InvalidArgument(
+        "scenario spec: verdicts.pressure_scale_out requires "
+        "overload.ladder_pct and overload.elastic_pool");
+  }
+  if (spec.verdicts.breaker_cycle) {
+    bool target_has_accel = false;
+    for (const TenantSpec& t : spec.tenants) {
+      target_has_accel |= spec.has_overload && t.name == spec.overload.target &&
+                          t.zip_clusters > 0;
+    }
+    if (!target_has_accel) {
+      return InvalidArgument(
+          "scenario spec: verdicts.breaker_cycle requires an overload target "
+          "with zip_clusters");
+    }
   }
   for (const FaultRuleSpec& rule : spec.faults) {
     if (rule.on_attempt > 0 && rule.site != fault::sites::kSupervisorReattest) {
@@ -817,9 +920,25 @@ std::string SerializeScenarioSpec(const ScenarioSpec& spec) {
     const OverloadSpec& o = spec.overload;
     out += ",\"overload\":{\"target\":";
     AppendQuoted(out, o.target);
-    out += ",\"load_pct\":" + std::to_string(o.load_pct);
+    if (o.ladder_pct.empty()) {
+      out += ",\"load_pct\":" + std::to_string(o.load_pct);
+    } else {
+      out += ",\"ladder_pct\":[";
+      for (size_t i = 0; i < o.ladder_pct.size(); ++i) {
+        out += (i == 0 ? "" : ",") + std::to_string(o.ladder_pct[i]);
+      }
+      out += "]";
+    }
     out += ",\"baseline_pct\":" + std::to_string(o.baseline_pct);
-    out += ",\"service_per_step\":" + std::to_string(o.service_per_step) + "}";
+    out += ",\"service_per_step\":" + std::to_string(o.service_per_step);
+    if (!o.chain_to.empty()) {
+      out += ",\"chain_to\":";
+      AppendQuoted(out, o.chain_to);
+    }
+    if (o.elastic_pool) {
+      out += ",\"elastic_pool\":true";
+    }
+    out += "}";
   }
   if (spec.has_attack) {
     const AttackSpec& a = spec.attack;
@@ -864,6 +983,20 @@ std::string SerializeScenarioSpec(const ScenarioSpec& spec) {
   out += verdict.queue_bound ? "true" : "false";
   if (!verdict.detect_abuse.empty()) {
     names_array("detect_abuse", verdict.detect_abuse);
+  }
+  if (verdict.vf_wait_bound_steps > 0) {
+    out += ",\"vf_wait_bound_steps\":" +
+           std::to_string(verdict.vf_wait_bound_steps);
+  }
+  if (verdict.goodput_non_collapsing_pct > 0) {
+    out += ",\"goodput_non_collapsing_pct\":" +
+           std::to_string(verdict.goodput_non_collapsing_pct);
+  }
+  if (verdict.pressure_scale_out) {
+    out += ",\"pressure_scale_out\":true";
+  }
+  if (verdict.breaker_cycle) {
+    out += ",\"breaker_cycle\":true";
   }
   out += "}}";
   return out;

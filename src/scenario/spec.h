@@ -1,15 +1,16 @@
 // Declarative chaos-scenario spec (docs/ROBUSTNESS.md, scenario matrix).
 //
-// A scenario composes, as data, everything the three bespoke soaks
-// hard-code: a constellation of tenant NFs (roles, ports, accelerator and
-// DMA placement, bus domains, per-VF vNIC attachment), workload parameters,
-// a fault schedule over the registered fault sites (including correlated
-// multi-site bursts and crash-during-recovery rules that fire inside the
-// Supervisor's restart/re-attestation path via `on_attempt`), an overload
-// policy, a vNIC attack mix, and the verdict predicates that decide
-// pass/fail. The runner (src/scenario/runner.h) lowers a spec onto the
-// existing harness pieces; the generator (src/scenario/generator.h) mints
-// seeded families of specs; bench/scenario_matrix sweeps them.
+// A scenario composes, as data, a constellation of tenant NFs (roles,
+// ports, accelerator and DMA placement, bus domains, per-VF vNIC
+// attachment), workload parameters, a fault schedule over the registered
+// fault sites (including correlated multi-site bursts and
+// crash-during-recovery rules that fire inside the Supervisor's
+// restart/re-attestation path via `on_attempt`), an overload policy
+// (optionally a load ladder, a credit chain and an elastic pool), a vNIC
+// attack mix, and the verdict predicates that decide pass/fail. The runner
+// (src/scenario/runner.h) lowers a spec onto the device and its management
+// plane; the generator (src/scenario/generator.h) mints seeded families of
+// specs; bench/scenario_matrix sweeps them.
 //
 // Parsing is DECODE-OR-REJECT, like the vNIC descriptor path: the JSON must
 // be structurally exact — unknown keys, wrong types, fractional or
@@ -118,6 +119,15 @@ struct OverloadSpec {
   uint64_t load_pct = 100;
   uint64_t baseline_pct = 100;
   uint64_t service_per_step = 4;
+  // Load ladder (exclusive with load_pct): the subject runs once per point,
+  // strictly increasing, all from the same seed, against one baseline twin.
+  std::vector<uint64_t> ladder_pct;
+  // Optional credit chain from the target's TX to this workload tenant,
+  // which consumes a fixed number of frames per step; goodput is then what
+  // it consumed, and the target's TX never reaches the wire.
+  std::string chain_to;
+  // Backpressure-sampled elastic autoscaler pool beside the target.
+  bool elastic_pool = false;
 };
 
 // Driver-side hostile volume for attacker-role tenants; the vnic.* fault
@@ -148,8 +158,21 @@ struct VerdictSpec {
   // The overload target's RX queue peak must respect its configured cap.
   bool queue_bound = false;
   // Abuse kinds the attacker must get flagged for ("flood", "squat",
-  // "desc", "churn"). Empty = unchecked.
+  // "desc", "churn"), while the baseline twin flags and crashes nothing and
+  // its attacker reaches the wire. Empty = unchecked.
   std::vector<std::string> detect_abuse;
+  // Every bystander VF's worst delivery wait must stay within this many
+  // steps, and no non-attacker VF may be flagged. 0 = unchecked.
+  uint64_t vf_wait_bound_steps = 0;
+  // Ladder only: each point's goodput must hold this percentage of the
+  // running maximum over the lower points. 0 = unchecked.
+  uint64_t goodput_non_collapsing_pct = 0;
+  // Ladder + elastic pool: sustained backpressure scales the pool out at
+  // the top point and never at the lowest.
+  bool pressure_scale_out = false;
+  // The target's accelerator breaker opens, reopens and closes at least
+  // once each (at the top ladder point).
+  bool breaker_cycle = false;
 };
 
 struct ScenarioSpec {

@@ -13,7 +13,7 @@
 //    much of its time pulling cold trace bytes through the host caches.
 //  - EncodedTrace: a compact run-length/delta encoding (format below)
 //    consumed through the streaming TraceDecoder without materializing the
-//    event vector. The Fig. 5 benches and soaks replay from this form; the
+//    event vector. The Fig. 5 benches replay from this form; the
 //    round trip is exact (tests/fuzz_roundtrip_test.cc).
 //
 // Encoded format (all multi-byte integers little-endian / LEB128):

@@ -10,7 +10,8 @@
 #include "src/core/vpp.h"
 #include "src/fault/fault.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
+#include "src/obs/span_names.h"
+#include "src/obs/trace_ring.h"
 #include "src/sim/bus.h"
 
 namespace snic::fault {
@@ -131,9 +132,10 @@ TEST(FaultPlaneTest, RetargetRulesFollowsNf) {
   EXPECT_TRUE(plane.Fires("unit.site", 9));   // counter carried over
 }
 
-// The structural isolation property behind bench/chaos_soak: a rule scoped
-// to NF 1 must produce the same decision sequence for NF 1 regardless of how
-// many NF-2 hits are interleaved, and must never fire for NF 2.
+// The structural isolation property behind the bystander_identical
+// verdict: a rule scoped to NF 1 must produce the same decision sequence for
+// NF 1 regardless of how many NF-2 hits are interleaved, and must never fire
+// for NF 2.
 TEST(FaultPlaneTest, DifferentialIsolationAcrossNfs) {
   auto run = [](int interleave) {
     FaultPlane plane(7);
@@ -173,15 +175,15 @@ TEST(FaultPlaneTest, ScopedInstallationNests) {
 
 TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
   obs::MetricRegistry registry;
-  obs::TraceLog trace;
+  obs::TraceRing ring;
   FaultPlane plane(1);
   plane.AttachObs(&registry);
-  plane.AttachTrace(&trace);
   FaultRule rule;
   rule.site = "unit.site";
   rule.nf_id = 3;
   rule.count = 2;
   plane.AddRule(rule);
+  plane.AttachTraceRing(&ring);
 
   plane.AdvanceClockTo(500);
   plane.Fires("unit.site", 3);
@@ -192,10 +194,19 @@ TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
       "fault.injected", {{"site", "unit.site"}, {"nf", "3"}});
   ASSERT_NE(injected, nullptr);
   EXPECT_EQ(injected->value(), 2u);
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].name, "fault");
-  EXPECT_EQ(trace.events()[0].ts, 500u);
-  EXPECT_EQ(trace.events()[0].pid, 3u);
+#ifndef SNIC_OBS_DISABLED
+  // One fault.fired instant per injection, on the faulted NF's lane, its
+  // arg resolving to the rule's site name.
+  ASSERT_EQ(ring.size(), 2u);
+  const obs::TraceRecord& first = ring.record(0);
+  EXPECT_EQ(ring.NameOf(first.name), obs::spans::kFaultFired);
+  EXPECT_EQ(first.ts, 500u);
+  EXPECT_EQ(first.pid, 3u);
+  EXPECT_EQ(ring.NameOf(static_cast<uint16_t>(first.arg)), "unit.site");
+#else
+  // SNIC_TRACE_RING compiles out: the ring stays empty.
+  EXPECT_EQ(ring.size(), 0u);
+#endif
 }
 
 TEST(FaultPlaneTest, ClockIsMonotonic) {

@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -902,6 +905,22 @@ std::string AttackSpecJson() {
   return {};
 }
 
+// The fuzz corpus: the two generated specs above plus the soak specs'
+// canonical forms, the only specs carrying a load ladder, a credit chain,
+// an elastic pool and the soak-derived verdict keys.
+std::vector<std::string> FuzzBases() {
+  std::vector<std::string> bases = {RichSpecJson(), AttackSpecJson()};
+  for (const char* file : {"overload_ladder.json", "hostile_full.json"}) {
+    std::ifstream in(std::string(SNIC_SOAK_SPECS_DIR) + "/" + file);
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto spec = scenario::ParseScenarioSpec(text.str());
+    SNIC_CHECK(spec.ok());
+    bases.push_back(scenario::SerializeScenarioSpec(spec.value()));
+  }
+  return bases;
+}
+
 }  // namespace
 
 TEST(ScenarioSpecFuzzTest, CanonicalFormRoundTrips) {
@@ -916,7 +935,7 @@ TEST(ScenarioSpecFuzzTest, CanonicalFormRoundTrips) {
 }
 
 TEST(ScenarioSpecFuzzTest, EveryTruncationIsRejected) {
-  for (const std::string& valid : {RichSpecJson(), AttackSpecJson()}) {
+  for (const std::string& valid : FuzzBases()) {
     ASSERT_TRUE(scenario::ParseScenarioSpec(valid).ok());
     for (size_t len = 0; len < valid.size(); ++len) {
       const auto out =
@@ -928,8 +947,8 @@ TEST(ScenarioSpecFuzzTest, EveryTruncationIsRejected) {
 
 TEST(ScenarioSpecFuzzTest, SingleByteMutantsDecodeOrRejectAndNeverCrash) {
   Rng rng(0x5bec);
-  const std::vector<std::string> bases = {RichSpecJson(), AttackSpecJson()};
-  for (int iter = 0; iter < 2000; ++iter) {
+  const std::vector<std::string> bases = FuzzBases();
+  for (int iter = 0; iter < 4000; ++iter) {
     std::string mutant = bases[iter % bases.size()];
     const size_t at = rng.NextBounded(mutant.size());
     mutant[at] = static_cast<char>(mutant[at] ^

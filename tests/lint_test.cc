@@ -129,11 +129,14 @@ TEST(SnicLintTest, FaultSiteRegistryFiresAndInlineSuppressionHolds) {
 
 TEST(SnicLintTest, ScenarioSpecRuleFiresOnRottedSpecs) {
   const auto findings = LintFixture("scenario_spec");
-  EXPECT_EQ(findings.size(), 3u) << FormatFindings(findings);
-  EXPECT_EQ(CountRule(findings, "scenario-spec"), 3u);
+  EXPECT_EQ(findings.size(), 4u) << FormatFindings(findings);
+  EXPECT_EQ(CountRule(findings, "scenario-spec"), 4u);
   EXPECT_TRUE(HasFinding(findings, "scenario-spec", "not valid JSON"));
   EXPECT_TRUE(HasFinding(findings, "scenario-spec",
                          "\"vpp.rx.made_up\" is not listed"));
+  // Specs in subdirectories (bench/scenarios/soak/) are checked too.
+  EXPECT_TRUE(HasFinding(findings, "scenario-spec",
+                         "\"vpp.rx.nested_made_up\" is not listed"));
   EXPECT_TRUE(
       HasFinding(findings, "scenario-spec", "without a string `site` key"));
   // good.json references only registered sites: no finding mentions it.

@@ -1,14 +1,20 @@
 // Scenario-matrix tests (docs/ROBUSTNESS.md, "The scenario matrix"):
 // decode-or-reject parsing semantics, canonical-form round-trip, the
-// baseline-twin transform, generator determinism, and runner/verdict
-// determinism for representative specs from each generated family.
+// baseline-twin transform, generator determinism, runner/verdict
+// determinism for representative specs from each generated family, and the
+// soak specs under bench/scenarios/soak/.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/fault/fault.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
@@ -28,6 +34,15 @@ std::string MinimalJson() {
       { "name": "b", "port": 2, "role": "bystander" }
     ]
   })";
+}
+
+ScenarioSpec LoadSoakSpec(const std::string& file) {
+  std::ifstream in(std::string(SNIC_SOAK_SPECS_DIR) + "/" + file);
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto spec = ParseScenarioSpec(text.str());
+  EXPECT_TRUE(spec.ok()) << file << ": " << spec.status().message();
+  return spec.ok() ? spec.value() : ScenarioSpec{};
 }
 
 const ScenarioSpec& FindSpec(const std::vector<ScenarioSpec>& specs,
@@ -97,6 +112,52 @@ TEST(ScenarioSpecTest, RejectsPreciselyNotLeniently) {
            [{"name": "a", "port": 1, "role": "workload"}],
            "verdicts": {"bystander_identical": true}})",
        "bystander"},
+      // overload.ladder_pct
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "load_pct": 50,
+                        "ladder_pct": [25, 50]}})",
+       "mutually exclusive"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "ladder_pct": [50, 50]}})",
+       "strictly increasing"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "ladder_pct": []}})",
+       "1 to 16"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "ladder_pct": [25, -1]}})",
+       "ladder_pct"},
+      // overload.chain_to / overload.elastic_pool
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1},
+           {"name": "b", "port": 2, "role": "bystander"}],
+           "overload": {"target": "a", "chain_to": "b"}})",
+       "workload-role tenant other than the target"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "chain_to": "a"}})",
+       "other than the target"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "elastic_pool": 1}})",
+       "overload.elastic_pool"},
+      // The new verdict keys and their prerequisites.
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a"},
+           "verdicts": {"goodput_non_collapsing_pct": 85}})",
+       "goodput_non_collapsing_pct requires overload.ladder_pct"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "ladder_pct": [25]},
+           "verdicts": {"goodput_non_collapsing_pct": 101}})",
+       "out of range"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a", "ladder_pct": [25]},
+           "verdicts": {"pressure_scale_out": true}})",
+       "pressure_scale_out requires"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+           "overload": {"target": "a"},
+           "verdicts": {"breaker_cycle": true}})",
+       "breaker_cycle requires"},
+      {R"({"name": "t", "tenants": [{"name": "a", "port": 1},
+           {"name": "b", "port": 2, "role": "bystander"}],
+           "verdicts": {"vf_wait_bound_steps": 10}})",
+       "vf_wait_bound_steps requires"},
   };
   for (const Case& c : cases) {
     const auto spec = ParseScenarioSpec(c.json);
@@ -211,17 +272,92 @@ TEST(ScenarioRunnerTest, CompoundScenarioContainsWithBystanderIdentity) {
 }
 
 TEST(ScenarioRunnerTest, VerdictFailuresNameTheBrokenPredicate) {
-  // Flip a passing scenario into a failing one: demand containment of a
-  // tenant that never crashes. The verdict must fail loudly and say why.
-  const auto specs = GenerateScenarios(kSeed);
-  ScenarioSpec spec = FindSpec(specs, "a/vpp.rx.drop");
-  spec.verdicts.containment.push_back("bystander-b");
-  const ScenarioVerdict verdict = EvaluateScenario(spec, kSeed);
-  EXPECT_FALSE(verdict.pass);
-  EXPECT_NE(verdict.detail.find("containment:bystander-b=FAIL"),
-            std::string::npos)
-      << verdict.detail;
+  // Flip a passing scenario into a failing one by breaking one predicate's
+  // input. The verdict must fail loudly and say which predicate, and where.
+  struct Case {
+    ScenarioSpec spec;
+    std::function<void(ScenarioSpec&)> mutate;
+    const char* expected;
+  };
+  const ScenarioSpec ladder = LoadSoakSpec("overload_ladder.json");
+  const ScenarioSpec hostile = LoadSoakSpec("hostile_full.json");
+  const Case cases[] = {
+      // Containment of a tenant that never crashes.
+      {FindSpec(GenerateScenarios(kSeed), "a/vpp.rx.drop"),
+       [](ScenarioSpec& s) { s.verdicts.containment.push_back("bystander-b"); },
+       "containment:bystander-b=FAIL"},
+      // A per-point predicate names the first ladder point it fails at.
+      {ladder, [](ScenarioSpec& s) { s.verdicts.goodput_floor_pct = 1000; },
+       "goodput_floor=FAIL(load=25:"},
+      // 100% load already backs the chain up: the lowest point scales out.
+      {ladder,
+       [](ScenarioSpec& s) {
+         s.overload.ladder_pct = {100, 200, 300, 400};
+       },
+       "pressure_scale_out=FAIL(low=3,top=3)"},
+      // The victim's descriptors wait 5 steps; a 1-step bound breaks.
+      {hostile, [](ScenarioSpec& s) { s.verdicts.vf_wait_bound_steps = 1; },
+       "vf_wait_bound=FAIL(victim-v=500/100)"},
+      // A silent attacker never reaches the wire in the twin, so its
+      // detection proves nothing.
+      {hostile, [](ScenarioSpec& s) { s.tenants[1].frames_per_step = 0; },
+       "detect_abuse:flood=FAIL(baseline:flags=0,crashes=0,wire=0)"},
+#ifndef SNIC_FAULTS_DISABLED  // these two are driven by injected faults
+      // Drop everything the target receives after 2000 frames: the higher
+      // points hit that sooner and their goodput collapses.
+      {ladder,
+       [](ScenarioSpec& s) {
+         FaultRuleSpec drop;
+         drop.site = "vpp.rx.drop";
+         drop.nf = "overloaded-o";
+         drop.skip = 2000;
+         drop.count = fault::FaultRule::kForever;
+         s.faults.push_back(drop);
+       },
+       "goodput_non_collapsing=FAIL(load=100:"},
+      // Without the failed half-open probe the breaker never reopens.
+      {ladder,
+       [](ScenarioSpec& s) {
+         s.faults.erase(std::remove_if(s.faults.begin(), s.faults.end(),
+                                       [](const FaultRuleSpec& r) {
+                                         return r.site ==
+                                                "overload.breaker.probe";
+                                       }),
+                        s.faults.end());
+       },
+       "breaker_cycle=FAIL(opens=1,reopens=0,closes=1)"},
+#endif
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec spec = c.spec;
+    c.mutate(spec);
+    const ScenarioVerdict verdict = EvaluateScenario(spec, kSeed);
+    EXPECT_FALSE(verdict.pass) << verdict.detail;
+    EXPECT_NE(verdict.detail.find(c.expected), std::string::npos)
+        << "expected " << c.expected << " in " << verdict.detail;
+  }
 }
+
+// The soak specs' breaker cycle and containment are driven by their fault
+// schedules, which compile out under -DSNIC_FAULTS_DISABLED.
+#ifndef SNIC_FAULTS_DISABLED
+TEST(ScenarioSoakSpecsTest, EveryCommittedSoakSpecPasses) {
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SNIC_SOAK_SPECS_DIR)) {
+    if (entry.path().extension() == ".json") {
+      files.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 2u);
+  for (const std::string& file : files) {
+    const ScenarioSpec spec = LoadSoakSpec(file);
+    const ScenarioVerdict verdict = EvaluateScenario(spec, kSeed);
+    EXPECT_TRUE(verdict.pass) << file << ": " << verdict.detail;
+  }
+}
+#endif  // SNIC_FAULTS_DISABLED
 
 }  // namespace
 }  // namespace snic::scenario

@@ -1118,8 +1118,9 @@ class Linter {
 
   // ---- scenario-spec ------------------------------------------------------
 
-  // Every checked-in scenario spec (bench/scenarios/*.json) must parse as
-  // JSON and reference only fault sites listed in the fault-site registry.
+  // Every checked-in scenario spec (bench/scenarios/**/*.json, including
+  // the soak specs in subdirectories) must parse as JSON and reference only
+  // fault sites listed in the fault-site registry.
   // The full decode-or-reject semantic check lives in src/scenario/spec.cc
   // (`snic_scenarios validate`, run by CI); this rule is the cheap
   // structural subset so a rotted spec fails `ctest -R lint` locally too.
@@ -1146,15 +1147,15 @@ class Linter {
       }
     }
     std::vector<fs::path> files;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      if (entry.path().extension() == ".json") {
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      if (entry.is_regular_file() && entry.path().extension() == ".json") {
         files.push_back(entry.path());
       }
     }
     std::sort(files.begin(), files.end());
     for (const fs::path& path : files) {
-      const std::string rel =
-          options_.scenarios_dir + "/" + path.filename().string();
+      const std::string rel = options_.scenarios_dir + "/" +
+                              path.lexically_relative(dir).generic_string();
       const auto parsed = obs::json::Value::Parse(ReadFileOrEmpty(path));
       if (!parsed.ok()) {
         ReportGlobal("scenario-spec", rel, 0, path.filename().string(),

@@ -3,7 +3,14 @@
 //
 //   snic_scenarios validate FILE...        decode-or-reject each spec file;
 //                                          exit 1 on the first rejection
-//   snic_scenarios run [--seed=S] FILE...  run each spec's verdict predicates
+//   snic_scenarios run [--seed=S] [--forensics-out=PREFIX] FILE...
+//                                          run each spec's verdict predicates;
+//                                          --forensics-out (one FILE only)
+//                                          also writes the subject's and the
+//                                          baseline twin's span rings to
+//                                          PREFIX.subject.bin and
+//                                          PREFIX.baseline.bin for
+//                                          `snic_trace forensics`
 //   snic_scenarios generate [--seed=S] [--name=SUBSTR] [--list]
 //                                          emit generated specs as JSON
 //                                          (--list prints names only)
@@ -20,6 +27,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/obs/trace_ring.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
@@ -30,7 +38,8 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: snic_scenarios validate FILE...\n"
-               "       snic_scenarios run [--seed=S] FILE...\n"
+               "       snic_scenarios run [--seed=S] [--forensics-out=PREFIX] "
+               "FILE...\n"
                "       snic_scenarios generate [--seed=S] [--name=SUBSTR] "
                "[--list]\n");
   return 2;
@@ -115,9 +124,36 @@ int Validate(int argc, char** argv) {
   return 0;
 }
 
+// Re-runs `spec` and its baseline twin into caller-owned rings and writes
+// both (a ladder spec's subject runs at its top point). False on a write
+// failure.
+bool WriteForensics(const scenario::ScenarioSpec& spec, uint64_t seed,
+                    const std::string& prefix) {
+  scenario::ScenarioSpec subject = spec;
+  if (!subject.overload.ladder_pct.empty()) {
+    subject.overload.load_pct = subject.overload.ladder_pct.back();
+  }
+  const auto write = [&](const scenario::ScenarioSpec& run_spec,
+                          const char* suffix) {
+    obs::TraceRing ring;
+    (void)scenario::RunConstellation(run_spec, seed, &ring);
+    const std::string path = prefix + suffix;
+    const Status s = ring.WriteBinaryFile(path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "ring write failed: %s\n", s.ToString().c_str());
+      return false;
+    }
+    std::fprintf(stderr, "Wrote %s\n", path.c_str());
+    return true;
+  };
+  return write(subject, ".subject.bin") &&
+         write(scenario::BaselineTwin(spec), ".baseline.bin");
+}
+
 int Run(int argc, char** argv) {
   const std::vector<std::string> files = FileArgs(argc, argv);
-  if (files.empty()) {
+  const std::string forensics_out = FlagValue(argc, argv, "--forensics-out");
+  if (files.empty() || (!forensics_out.empty() && files.size() != 1)) {
     return Usage();
   }
   const std::string seed_flag = FlagValue(argc, argv, "--seed");
@@ -145,6 +181,10 @@ int Run(int argc, char** argv) {
     std::printf("%s  %-44s %s\n", verdict.pass ? "PASS" : "FAIL",
                 spec.value().name.c_str(), verdict.detail.c_str());
     all_pass &= verdict.pass;
+    if (!forensics_out.empty() &&
+        !WriteForensics(spec.value(), seed, forensics_out)) {
+      return 1;
+    }
   }
   return all_pass ? 0 : 1;
 }
