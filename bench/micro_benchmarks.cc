@@ -109,6 +109,37 @@ BENCHMARK(BM_PowModMontgomery)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PowModReference)->Arg(512)->Arg(768)->Unit(benchmark::kMillisecond);
 
+// One prime search at range(0) bits from the same seed every iteration, so
+// each iteration tests the same candidates: GeneratePrime (Montgomery-context
+// Miller-Rabin with witness shortcuts) against its loop over the reference
+// test.
+void BM_GeneratePrime(benchmark::State& state) {
+  const auto bits = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    Rng rng(8);
+    benchmark::DoNotOptimize(crypto::BigUint::GeneratePrime(bits, rng));
+  }
+}
+void BM_GeneratePrimeReference(benchmark::State& state) {
+  const auto bits = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    Rng rng(8);
+    crypto::BigUint candidate;
+    do {
+      candidate = crypto::BigUint::RandomWithBits(bits, rng);
+      if (!candidate.IsOdd()) {
+        candidate = crypto::BigUint::Add(candidate, crypto::BigUint(1));
+      }
+    } while (!crypto::BigUint::IsProbablePrimeReference(candidate, 20, rng));
+    benchmark::DoNotOptimize(candidate);
+  }
+}
+BENCHMARK(BM_GeneratePrime)->Arg(256)->Arg(384)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GeneratePrimeReference)
+    ->Arg(256)
+    ->Arg(384)
+    ->Unit(benchmark::kMillisecond);
+
 // The flat automaton and its pointer-per-node reference, built once per
 // (engine, ruleset size).
 template <typename Engine, size_t kPatterns>

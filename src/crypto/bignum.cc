@@ -1,6 +1,7 @@
 #include "src/crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 
 #include "src/common/status.h"
@@ -370,122 +371,222 @@ BigUint BigUint::PowModReference(const BigUint& base, const BigUint& exp,
 
 namespace {
 
-// -m0^-1 mod 2^32 for odd m0. Newton's iteration doubles the number of
-// correct low bits per step, and m0 is its own inverse mod 8.
-uint32_t NegInverseMod32(uint32_t m0) {
-  uint32_t inv = m0;
-  for (int i = 0; i < 4; ++i) {
-    inv *= 2u - m0 * inv;
-  }
-  return 0u - inv;
+// a * b + c + d as a low word, with the high word in *hi. The sum never
+// exceeds 2^128 - 1. The additions are spelled out on 64-bit words: GCC keeps
+// those in registers, where 128-bit sums end up spilled to the stack.
+inline uint64_t MulAdd(uint64_t a, uint64_t b, uint64_t c, uint64_t d,
+                       uint64_t* hi) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  auto low = static_cast<uint64_t>(product);
+  auto high = static_cast<uint64_t>(product >> 64);
+  low += c;
+  high += low < c ? 1 : 0;
+  low += d;
+  high += low < d ? 1 : 0;
+  *hi = high;
+  return low;
 }
 
-// out = a * b * R^-1 mod m with R = 2^(32n), by coarsely integrated operand
-// scanning (CIOS) with the multiply and reduce passes of each outer step
-// fused, so their two carry chains run side by side. Inputs are below m; `t`
-// is n + 1 limbs of scratch. `out` may alias `a` or `b`.
-void MontMul(const uint32_t* a, const uint32_t* b, const uint32_t* m,
-             uint32_t m_inv, size_t n, uint32_t* __restrict t,
-             uint32_t* out) {
-  std::fill(t, t + n + 1, 0u);
-  for (size_t i = 0; i < n; ++i) {
-    // t = (t + a * b[i] + u * m) / 2^32, with u chosen so the low limb of
-    // the sum vanishes.
-    const uint64_t bi = b[i];
-    uint64_t cur = t[0] + a[0] * bi;
-    const uint64_t u = static_cast<uint32_t>(cur) * m_inv;
-    uint64_t mul_carry = cur >> 32;
-    uint64_t red_carry = (static_cast<uint32_t>(cur) + u * m[0]) >> 32;
-    for (size_t j = 1; j < n; ++j) {
-      cur = t[j] + a[j] * bi + mul_carry;
-      mul_carry = cur >> 32;
-      const uint64_t red = static_cast<uint32_t>(cur) + u * m[j] + red_carry;
-      red_carry = red >> 32;
-      t[j - 1] = static_cast<uint32_t>(red);
-    }
-    cur = t[n] + mul_carry;
-    const uint64_t red = static_cast<uint32_t>(cur) + red_carry;
-    t[n - 1] = static_cast<uint32_t>(red);
-    t[n] = static_cast<uint32_t>((cur >> 32) + (red >> 32));
+// -m0^-1 mod 2^64 for odd m0. Newton's iteration doubles the number of
+// correct low bits per step, and m0 is its own inverse mod 8.
+uint64_t NegInverseMod64(uint64_t m0) {
+  uint64_t inv = m0;
+  for (int i = 0; i < 5; ++i) {
+    inv *= 2 - m0 * inv;
   }
+  return 0 - inv;
+}
 
-  // t < 2m: one conditional subtraction brings it below m.
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = n; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
-    }
+// The 32-bit limbs of x as n 64-bit limbs, zero-padded at the top (an odd
+// limb count leaves the upper half of the top 64-bit limb zero).
+void PackLimbs64(const std::vector<uint32_t>& x, size_t n, uint64_t* out) {
+  std::fill(out, out + n, uint64_t{0});
+  for (size_t i = 0; i < x.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(x[i]) << (32 * (i % 2));
   }
-  if (ge) {
-    int64_t borrow = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t diff = static_cast<int64_t>(t[i]) - m[i] - borrow;
-      t[i] = static_cast<uint32_t>(diff);
-      borrow = diff < 0 ? 1 : 0;
-    }
-  }
-  std::copy(t, t + n, out);
 }
 
 }  // namespace
 
+// Arithmetic modulo one odd modulus m in Montgomery form (x is held as
+// x * R mod m with R = 2^(64n)) on n 64-bit limbs. Built once per modulus:
+// it holds m, -m^-1 mod 2^64, R^2 mod m and R mod m, plus the scratch its
+// multiplications and exponentiation windows need. Values are n-limb arrays
+// below m. Copying is deleted: the array pointers point into `storage_`.
+class BigUint::Montgomery {
+ public:
+  explicit Montgomery(const BigUint& m)
+      : modulus_(m),
+        n_((m.limbs_.size() + 1) / 2),
+        storage_(n_ * (4 + kMaxTable) + 1) {
+    SNIC_CHECK(m.IsOdd());
+    m_ = storage_.data();
+    r2_ = m_ + n_;
+    one_ = r2_ + n_;
+    t_ = one_ + n_;
+    table_ = t_ + n_ + 1;
+    PackLimbs64(m.limbs_, n_, m_);
+    m_inv_ = NegInverseMod64(m_[0]);
+    // R^2 mod m takes the only division; R mod m = R^2 * 1 * R^-1.
+    PackLimbs64(Mod(BigUint(1).ShiftLeft(128 * n_), m).limbs_, n_, r2_);
+    std::fill(one_, one_ + n_, uint64_t{0});
+    one_[0] = 1;
+    Mul(one_, r2_, one_);
+  }
+  Montgomery(const Montgomery&) = delete;
+  Montgomery& operator=(const Montgomery&) = delete;
+
+  size_t limbs() const { return n_; }
+  // The Montgomery form of 1.
+  const uint64_t* one() const { return one_; }
+
+  // out = a * b * R^-1 mod m. `out` may alias `a` or `b`. The limb counts
+  // of the simulator's moduli (256- and 384-bit primes, 512- and 768-bit RSA
+  // moduli) get the kernel with a compile-time count, which GCC unrolls and
+  // keeps in registers; other sizes take the same kernel with a run-time
+  // count.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out) {
+    switch (n_) {
+      case 4:
+        return MulLimbs<4>(a, b, out);
+      case 6:
+        return MulLimbs<6>(a, b, out);
+      case 8:
+        return MulLimbs<8>(a, b, out);
+      case 12:
+        return MulLimbs<12>(a, b, out);
+      default:
+        return MulLimbs<0>(a, b, out);
+    }
+  }
+
+  // out = x * R mod m for any x.
+  void Enter(const BigUint& x, uint64_t* out) {
+    if (Compare(x, modulus_) >= 0) {
+      PackLimbs64(Mod(x, modulus_).limbs_, n_, out);
+    } else {
+      PackLimbs64(x.limbs_, n_, out);
+    }
+    Mul(out, r2_, out);
+  }
+
+  // The plain value of Montgomery-form x.
+  BigUint Leave(const uint64_t* x) {
+    std::vector<uint64_t> value(2 * n_, 0);  // plain 1, then x * R^-1
+    value[0] = 1;
+    Mul(x, value.data(), value.data() + n_);
+    BigUint out;
+    out.limbs_.resize(2 * n_);
+    for (size_t i = 0; i < n_; ++i) {
+      out.limbs_[2 * i] = static_cast<uint32_t>(value[n_ + i]);
+      out.limbs_[2 * i + 1] = static_cast<uint32_t>(value[n_ + i] >> 32);
+    }
+    out.Trim();
+    return out;
+  }
+
+  // out = base^exp in Montgomery form: left to right over the exponent in
+  // fixed windows of 4 bits for long exponents, plain binary for short ones
+  // such as e = 65537, where the table would cost more than it saves.
+  // `out` must not alias the context's own arrays.
+  void Pow(const BigUint& base, const BigUint& exp, uint64_t* out) {
+    const size_t bits = exp.BitLength();
+    const size_t window = bits > 64 ? 4 : 1;
+    const size_t table_size = size_t{1} << window;
+    std::copy(one_, one_ + n_, table_);
+    Enter(base, table_ + n_);
+    for (size_t k = 2; k < table_size; ++k) {
+      Mul(table_ + (k - 1) * n_, table_ + n_, table_ + k * n_);
+    }
+    std::copy(one_, one_ + n_, out);
+    for (size_t top = (bits + window - 1) / window * window; top > 0;
+         top -= window) {
+      size_t digit = 0;
+      for (size_t b = top; b-- > top - window;) {
+        digit = (digit << 1) | (exp.GetBit(b) ? 1u : 0u);
+      }
+      for (size_t s = 0; s < window; ++s) {
+        Mul(out, out, out);
+      }
+      if (digit != 0) {
+        Mul(out, table_ + digit * n_, out);
+      }
+    }
+  }
+
+ private:
+  // Montgomery multiplication on kLimbs limbs (0: the run-time count) by
+  // coarsely integrated operand scanning (CIOS), with the multiply and reduce
+  // passes of each outer step fused so their two carry chains run side by
+  // side.
+  template <size_t kLimbs>
+  void MulLimbs(const uint64_t* a, const uint64_t* b, uint64_t* out) {
+    const size_t n = kLimbs != 0 ? kLimbs : n_;
+    const uint64_t* m = m_;
+    uint64_t* __restrict t = t_;
+    std::fill(t, t + n + 1, uint64_t{0});
+    for (size_t i = 0; i < n; ++i) {
+      // t = (t + a * b[i] + u * m) / 2^64, with u chosen so the low limb of
+      // the sum vanishes.
+      const uint64_t bi = b[i];
+      uint64_t mul_carry;
+      uint64_t red_carry;
+      const uint64_t low = MulAdd(a[0], bi, t[0], 0, &mul_carry);
+      const uint64_t u = low * m_inv_;
+      MulAdd(u, m[0], low, 0, &red_carry);
+      for (size_t j = 1; j < n; ++j) {
+        const uint64_t sum = MulAdd(a[j], bi, t[j], mul_carry, &mul_carry);
+        t[j - 1] = MulAdd(u, m[j], sum, red_carry, &red_carry);
+      }
+      const uint64_t top = t[n] + mul_carry;
+      const uint64_t top_carry = top < mul_carry ? 1 : 0;
+      t[n - 1] = top + red_carry;
+      t[n] = top_carry + (t[n - 1] < red_carry ? 1 : 0);
+    }
+
+    // t < 2m: one conditional subtraction brings it below m.
+    bool ge = t[n] != 0;
+    if (!ge) {
+      ge = true;
+      for (size_t i = n; i-- > 0;) {
+        if (t[i] != m[i]) {
+          ge = t[i] > m[i];
+          break;
+        }
+      }
+    }
+    if (ge) {
+      uint64_t borrow = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t diff = t[i] - m[i];
+        const uint64_t next_borrow = t[i] < m[i] ? 1 : 0;
+        t[i] = diff - borrow;
+        borrow = next_borrow | (diff < borrow ? 1 : 0);
+      }
+    }
+    std::copy(t, t + n, out);
+  }
+
+  static constexpr size_t kMaxTable = 16;  // 2^window base powers
+
+  const BigUint& modulus_;
+  size_t n_;
+  std::vector<uint64_t> storage_;
+  uint64_t m_inv_ = 0;
+  uint64_t* m_ = nullptr;
+  uint64_t* r2_ = nullptr;
+  uint64_t* one_ = nullptr;    // R mod m
+  uint64_t* t_ = nullptr;      // CIOS accumulator, n + 1 limbs
+  uint64_t* table_ = nullptr;  // kMaxTable * n limbs of base powers
+};
+
 BigUint BigUint::PowModMontgomery(const BigUint& base, const BigUint& exp,
                                   const BigUint& m) {
   SNIC_CHECK(m.IsOdd() && m.limbs_.size() >= 2);
-  const size_t n = m.limbs_.size();
-  const uint32_t m_inv = NegInverseMod32(m.limbs_[0]);
-  const size_t bits = exp.BitLength();
-  // Fixed windows of 4 bits for long exponents; plain binary for short ones
-  // such as e = 65537, where the table would cost more than it saves.
-  const size_t window = bits > 64 ? 4 : 1;
-  const size_t table_size = size_t{1} << window;
-
-  // One allocation for all scratch: CIOS temporary, accumulator, the
-  // constant 1 (to leave Montgomery form), and the table of base powers.
-  std::vector<uint32_t> scratch((n + 1) + n + n + table_size * n, 0u);
-  uint32_t* t = scratch.data();
-  uint32_t* acc = t + n + 1;
-  uint32_t* plain_one = acc + n;
-  uint32_t* table = plain_one + n;
-  plain_one[0] = 1;
-
-  // Enter Montgomery form (x * R mod m) with one division each.
-  const auto to_mont = [&](const BigUint& x, uint32_t* dst) {
-    const BigUint xr = Mod(x.ShiftLeft(32 * n), m);
-    std::copy(xr.limbs_.begin(), xr.limbs_.end(), dst);
-  };
-  to_mont(BigUint(1), table);
-  to_mont(base, table + n);
-  for (size_t k = 2; k < table_size; ++k) {
-    MontMul(table + (k - 1) * n, table + n, m.limbs_.data(), m_inv, n, t,
-            table + k * n);
-  }
-
-  // Left to right over the exponent, one window at a time.
-  std::copy(table, table + n, acc);  // Montgomery 1
-  for (size_t top = (bits + window - 1) / window * window; top > 0;
-       top -= window) {
-    size_t digit = 0;
-    for (size_t b = top; b-- > top - window;) {
-      digit = (digit << 1) | (exp.GetBit(b) ? 1u : 0u);
-    }
-    for (size_t s = 0; s < window; ++s) {
-      MontMul(acc, acc, m.limbs_.data(), m_inv, n, t, acc);
-    }
-    if (digit != 0) {
-      MontMul(acc, table + digit * n, m.limbs_.data(), m_inv, n, t, acc);
-    }
-  }
-
-  MontMul(acc, plain_one, m.limbs_.data(), m_inv, n, t, acc);
-  BigUint out;
-  out.limbs_.assign(acc, acc + n);
-  out.Trim();
-  return out;
+  Montgomery mont(m);
+  std::vector<uint64_t> acc(mont.limbs());
+  mont.Pow(base, exp, acc.data());
+  return mont.Leave(acc.data());
 }
 
 bool BigUint::InvMod(const BigUint& a, const BigUint& m, BigUint* inverse) {
@@ -613,7 +714,161 @@ BigUint BigUint::RandomInRange(const BigUint& lo, const BigUint& hi,
   }
 }
 
+namespace {
+
+constexpr size_t kSmallPrimeLimit = 1024;
+// Trial division covers the primes through this bound; the primes above it
+// up to kSmallPrimeLimit only serve the witness shortcut.
+constexpr uint32_t kTrialDivisionMax = 37;
+
+constexpr bool IsSmallPrime(uint32_t c) {
+  for (uint32_t d = 2; d * d <= c; ++d) {
+    if (c % d == 0) {
+      return false;
+    }
+  }
+  return c >= 2;
+}
+
+constexpr size_t CountOddPrimes() {
+  size_t count = 0;
+  for (uint32_t c = 3; c < kSmallPrimeLimit; c += 2) {
+    count += IsSmallPrime(c) ? 1 : 0;
+  }
+  return count;
+}
+
+// The odd primes below kSmallPrimeLimit, ascending.
+constexpr auto kOddPrimes = [] {
+  std::array<uint32_t, CountOddPrimes()> primes{};
+  size_t count = 0;
+  for (uint32_t c = 3; c < kSmallPrimeLimit; c += 2) {
+    if (IsSmallPrime(c)) {
+      primes[count++] = c;
+    }
+  }
+  return primes;
+}();
+
+// x mod d for little-endian 32-bit limbs and d > 0.
+uint32_t ResidueMod(const std::vector<uint32_t>& limbs, uint32_t d) {
+  uint64_t rem = 0;
+  for (size_t i = limbs.size(); i-- > 0;) {
+    rem = ((rem << 32) | limbs[i]) % d;
+  }
+  return static_cast<uint32_t>(rem);
+}
+
+// The smallest odd prime below kSmallPrimeLimit that divides x, or 0. The
+// primes go in runs of consecutive ones whose product fits in 32 bits: one
+// pass over the limbs gives x mod the product, and that word gives x mod
+// every prime of the run.
+uint32_t SmallestOddPrimeFactor(const std::vector<uint32_t>& limbs) {
+  for (size_t begin = 0; begin < kOddPrimes.size();) {
+    uint64_t product = 1;
+    size_t end = begin;
+    while (end < kOddPrimes.size() &&
+           product * kOddPrimes[end] <= 0xffffffffULL) {
+      product *= kOddPrimes[end++];
+    }
+    const uint32_t residue =
+        ResidueMod(limbs, static_cast<uint32_t>(product));
+    for (size_t i = begin; i < end; ++i) {
+      if (residue % kOddPrimes[i] == 0) {
+        return kOddPrimes[i];
+      }
+    }
+    begin = end;
+  }
+  return 0;
+}
+
+// base^exp mod m for single words (m < 2^16).
+uint32_t PowModWord(uint32_t base, uint32_t exp, uint32_t m) {
+  uint32_t result = 1 % m;
+  base %= m;
+  for (; exp != 0; exp >>= 1) {
+    if (exp & 1u) {
+      result = result * base % m;
+    }
+    base = base * base % m;
+  }
+  return result;
+}
+
+}  // namespace
+
+bool BigUint::IsFermatWitnessModFactor(const BigUint& a, const BigUint& n,
+                                       uint32_t p) {
+  SNIC_CHECK(p > 2 && p < (1u << 16));
+  const uint32_t a_mod_p = ResidueMod(a.limbs_, p);
+  if (a_mod_p == 0) {
+    return true;  // a^(n-1) = 0 mod p
+  }
+  const uint32_t exp = (ResidueMod(n.limbs_, p - 1) + p - 2) % (p - 1);
+  return PowModWord(a_mod_p, exp, p) != 1;
+}
+
 bool BigUint::IsProbablePrime(const BigUint& n, int rounds, Rng& rng) {
+  if (n.IsZero() || n == BigUint(1)) {
+    return false;
+  }
+  if (!n.IsOdd()) {
+    return n == BigUint(2);
+  }
+  // Trial division: a prime p <= 37 dividing n decides, as n == p. A larger
+  // one arms the witness shortcut, which never fires for prime n (then
+  // p = n, and every base below n is coprime to it with a^(n-1) = 1).
+  const uint32_t p = SmallestOddPrimeFactor(n.limbs_);
+  if (p != 0 && p <= kTrialDivisionMax) {
+    return n == BigUint(p);
+  }
+
+  // n - 1 = d * 2^r with d odd.
+  const BigUint n_minus_1 = Sub(n, BigUint(1));
+  size_t r = 0;
+  while (!n_minus_1.GetBit(r)) {
+    ++r;
+  }
+  const BigUint d = n_minus_1.ShiftRight(r);
+  const BigUint two(2);
+  const BigUint n_minus_2 = Sub(n, two);
+
+  // Every round works in one context, comparing against the Montgomery
+  // forms of 1 and n - 1.
+  Montgomery mont(n);
+  const size_t k = mont.limbs();
+  std::vector<uint64_t> x(k);
+  std::vector<uint64_t> minus_one(k);
+  mont.Enter(n_minus_1, minus_one.data());
+  const auto equals = [k](const uint64_t* a, const uint64_t* b) {
+    return std::equal(a, a + k, b);
+  };
+  for (int round = 0; round < rounds; ++round) {
+    const BigUint a = RandomInRange(two, n_minus_2, rng);
+    if (p != 0 && IsFermatWitnessModFactor(a, n, p)) {
+      return false;  // what the full round would conclude, sooner
+    }
+    mont.Pow(a, d, x.data());
+    if (equals(x.data(), mont.one()) || equals(x.data(), minus_one.data())) {
+      continue;
+    }
+    bool witness = true;
+    for (size_t i = 0; i + 1 < r; ++i) {
+      mont.Mul(x.data(), x.data(), x.data());
+      if (equals(x.data(), minus_one.data())) {
+        witness = false;
+        break;
+      }
+    }
+    if (witness) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool BigUint::IsProbablePrimeReference(const BigUint& n, int rounds, Rng& rng) {
   if (n.IsZero() || n == BigUint(1)) {
     return false;
   }
@@ -639,7 +894,7 @@ bool BigUint::IsProbablePrime(const BigUint& n, int rounds, Rng& rng) {
   const BigUint n_minus_2 = Sub(n, two);
   for (int round = 0; round < rounds; ++round) {
     const BigUint a = RandomInRange(two, n_minus_2, rng);
-    BigUint x = PowMod(a, d, n);
+    BigUint x = PowModReference(a, d, n);
     if (x == BigUint(1) || x == n_minus_1) {
       continue;
     }

@@ -4,11 +4,15 @@
 // Diffie-Hellman (modular exponentiation over a safe prime) and RSA
 // signatures (Appendix A). Most of it is plain schoolbook code. Modular
 // exponentiation, which dominates key generation, signing and Diffie-Hellman,
-// has two paths that return identical values: a Montgomery path for odd
-// multi-limb moduli (every RSA and DH modulus) and the original
+// has two paths that return identical values: a Montgomery path on 64-bit
+// limbs for odd multi-limb moduli (every RSA and DH modulus) and the original
 // square-and-multiply over DivMod, kept as the reference oracle and as the
-// route for even or single-limb moduli. Host speed never shows in reported
-// timings: the paper's co-processor latency model (Fig. 6) governs those.
+// route for even or single-limb moduli. Prime search (Miller-Rabin) runs all
+// rounds of a candidate in one Montgomery context and rejects bases early
+// when a small prime factor proves them witnesses; the original test is kept
+// as its oracle and both consume the same random draws. Host speed never
+// shows in reported timings: the paper's co-processor latency model (Fig. 6)
+// governs those.
 
 #ifndef SNIC_CRYPTO_BIGNUM_H_
 #define SNIC_CRYPTO_BIGNUM_H_
@@ -85,9 +89,9 @@ class BigUint {
   // the oracle for PowModMontgomery.
   static BigUint PowModReference(const BigUint& base, const BigUint& exp,
                                  const BigUint& m);
-  // Montgomery exponentiation (CIOS multiplication on the 32-bit limbs,
-  // 4-bit fixed windows for long exponents); aborts unless m is odd and at
-  // least two limbs long.
+  // Montgomery exponentiation (CIOS multiplication on 64-bit limbs, 4-bit
+  // fixed windows for long exponents); aborts unless m is odd and at least
+  // two limbs long.
   static BigUint PowModMontgomery(const BigUint& base, const BigUint& exp,
                                   const BigUint& m);
 
@@ -103,8 +107,24 @@ class BigUint {
   // Uniform random value in [lo, hi].
   static BigUint RandomInRange(const BigUint& lo, const BigUint& hi, Rng& rng);
 
-  // Miller-Rabin primality test with `rounds` random bases.
+  // Miller-Rabin primality test with `rounds` random bases. Trial division
+  // by the primes up to 37 runs first; a prime factor 41 <= p < 1024 of n
+  // lets a round reject its base without the full exponentiation when the
+  // base is a Fermat witness mod p. Verdict and random draws equal
+  // IsProbablePrimeReference's.
   static bool IsProbablePrime(const BigUint& n, int rounds, Rng& rng);
+  // The textbook test (trial division by BigUint, each round's a^d by
+  // PowModReference and its squarings by MulMod): the oracle for
+  // IsProbablePrime, sharing none of its Montgomery arithmetic.
+  static bool IsProbablePrimeReference(const BigUint& n, int rounds, Rng& rng);
+  // Whether a^(n-1) mod p != 1, for a prime 2 < p < 2^16 dividing n, on
+  // single words: a^((n-1) mod (p-1)) mod p by Fermat's little theorem, or
+  // 0 when p divides a. A strong liar for n is a Fermat liar for n and so
+  // for every prime factor of n; a base this returns true for is therefore
+  // a Miller-Rabin witness, and IsProbablePrime ends the round with it
+  // before the full exponentiation.
+  static bool IsFermatWitnessModFactor(const BigUint& a, const BigUint& n,
+                                       uint32_t p);
   // Generates a random probable prime with exactly `bits` bits.
   static BigUint GeneratePrime(size_t bits, Rng& rng);
 
@@ -113,6 +133,8 @@ class BigUint {
   const std::vector<uint32_t>& limbs() const { return limbs_; }
 
  private:
+  class Montgomery;  // arithmetic mod one odd modulus, defined in bignum.cc
+
   void Trim();
 
   std::vector<uint32_t> limbs_;  // little-endian, no trailing zero limbs

@@ -5,7 +5,7 @@
 namespace snic::fault {
 
 namespace internal {
-thread_local FaultPlane* tls_plane = nullptr;
+constinit thread_local FaultPlane* tls_plane = nullptr;
 }  // namespace internal
 
 namespace {

@@ -248,7 +248,10 @@ namespace internal {
 // the injection-site macros below can test it inline: sites sit on hot loops
 // (every bus grant crosses one), and an uninstrumented run must pay one
 // thread-local load and a predicted branch, not an out-of-line call.
-extern thread_local FaultPlane* tls_plane;
+// constinit tells every translation unit the variable needs no dynamic
+// initialisation, so accesses read the TLS slot directly instead of going
+// through GCC's TLS wrapper function, which UBSan's null check rejects.
+extern constinit thread_local FaultPlane* tls_plane;
 }  // namespace internal
 
 // Macro back-ends: inline null-plane fast path, then the out-of-line

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -505,6 +506,202 @@ TEST(PowModTest, EvenAndSingleLimbModuliUseReference) {
               BigUint::PowModReference(base, exp, small));
   }
 }
+
+// Moduli whose 32-bit limb count is odd (9 and 13 limbs), so the 64-bit
+// Montgomery context pads the top limb, plus 33 and 96 bits: the smallest
+// Montgomery modulus (top limb exactly 1) and the smallest odd count.
+TEST(PowModTest, MontgomeryMatchesReferenceOnPaddedLimbCounts) {
+  Rng rng(0x3019);
+  for (size_t bits : {33u, 96u, 288u, 416u}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const BigUint m =
+          RandomOddModulus(bits, bits % 32 == 1 && trial % 3 == 0, rng);
+      ASSERT_EQ(m.BitLength(), bits);
+      const BigUint base = BigUint::RandomWithBits(1 + rng.NextBounded(bits),
+                                                   rng);
+      const BigUint exp = BigUint::RandomWithBits(
+          trial % 2 == 0 ? 17 : 1 + rng.NextBounded(bits), rng);
+      ASSERT_EQ(BigUint::PowModMontgomery(base, exp, m),
+                BigUint::PowModReference(base, exp, m))
+          << "m=" << m.ToHex() << " base=" << base.ToHex()
+          << " exp=" << exp.ToHex();
+    }
+  }
+}
+
+// Both Miller-Rabin tests on n from the same seed: they must reach the same
+// verdict and leave their generators at the same point of the stream.
+void ExpectSameMillerRabin(const BigUint& n, uint64_t seed) {
+  Rng fast(seed);
+  Rng reference(seed);
+  const bool got = BigUint::IsProbablePrime(n, 20, fast);
+  const bool want = BigUint::IsProbablePrimeReference(n, 20, reference);
+  ASSERT_EQ(got, want) << "n=" << n.ToHex() << " seed=" << seed;
+  ASSERT_EQ(fast.NextU64(), reference.NextU64())
+      << "n=" << n.ToHex() << " seed=" << seed;
+}
+
+BigUint OddWithBits(size_t bits, Rng& rng) {
+  const BigUint n = BigUint::RandomWithBits(bits, rng);
+  return n.IsOdd() ? n : BigUint::Add(n, BigUint(1));
+}
+
+// Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), for k making all three
+// factors prime.
+BigUint Chernick(uint64_t k) {
+  return BigUint::Mul(BigUint::Mul(BigUint(6 * k + 1), BigUint(12 * k + 1)),
+                      BigUint(18 * k + 1));
+}
+
+// The primes the witness shortcut uses.
+std::vector<uint64_t> PrimesFrom41To1024() {
+  std::vector<uint64_t> primes;
+  for (uint64_t p = 41; p < 1024; p += 2) {
+    bool prime = true;
+    for (uint64_t d = 3; d * d <= p; d += 2) {
+      prime = prime && p % d != 0;
+    }
+    if (prime) {
+      primes.push_back(p);
+    }
+  }
+  return primes;
+}
+
+TEST(MillerRabinDiffTest, FermatWitnessModFactorMatchesDefinition) {
+  // Against a^(n-1) mod p computed in full, for n = p * q and bases that
+  // include multiples of p.
+  Rng rng(0xfe4a);
+  for (uint64_t p : PrimesFrom41To1024()) {
+    for (int i = 0; i < 8; ++i) {
+      const BigUint n = BigUint::Mul(
+          BigUint(p), OddWithBits(8 + rng.NextBounded(300), rng));
+      const BigUint a =
+          i == 0 ? BigUint::Mul(BigUint(p), BigUint(2 + rng.NextBounded(50)))
+                 : BigUint::RandomInRange(BigUint(2),
+                                          BigUint::Sub(n, BigUint(2)), rng);
+      const bool fermat_liar =
+          BigUint::PowModReference(a, BigUint::Sub(n, BigUint(1)),
+                                   BigUint(p)) == BigUint(1);
+      ASSERT_EQ(BigUint::IsFermatWitnessModFactor(
+                    a, n, static_cast<uint32_t>(p)),
+                !fermat_liar)
+          << "p=" << p << " n=" << n.ToHex() << " a=" << a.ToHex();
+    }
+  }
+  // A Carmichael number has no Fermat witness coprime to it.
+  const BigUint carmichael = Chernick(35);  // 211 * 421 * 631
+  for (int i = 0; i < 100; ++i) {
+    const BigUint a(2 + rng.NextBounded(200));
+    for (uint32_t p : {211u, 421u, 631u}) {
+      EXPECT_FALSE(BigUint::IsFermatWitnessModFactor(a, carmichael, p));
+    }
+  }
+}
+
+TEST(MillerRabinDiffTest, EveryNumberBelow3000) {
+  // Covers 0, 1, the trial-division primes (n == p) and the primes from 41
+  // up, whose only small factor is n itself.
+  for (uint64_t n = 0; n < 3000; ++n) {
+    ExpectSameMillerRabin(BigUint(n), n);
+  }
+}
+
+TEST(MillerRabinDiffTest, RandomOddCandidates) {
+  Rng rng(0x4d52);
+  for (uint64_t trial = 0; trial < 400; ++trial) {
+    const size_t bits = 40 + static_cast<size_t>(rng.NextBounded(1024 - 40 + 1));
+    ExpectSameMillerRabin(OddWithBits(bits, rng), trial);
+  }
+  // Primes too, where every round runs in full.
+  for (uint64_t trial = 0; trial < 12; ++trial) {
+    const size_t bits = 40 + static_cast<size_t>(rng.NextBounded(512 - 40 + 1));
+    ExpectSameMillerRabin(BigUint::GeneratePrime(bits, rng), trial);
+  }
+}
+
+TEST(MillerRabinDiffTest, CarmichaelNumbers) {
+  // Every base coprime to a Carmichael number is a Fermat liar, and about
+  // one in eight random bases of these is a strong liar, so rounds pass and
+  // the Montgomery-form comparisons and the shortcut's fall-through both
+  // run. The k from 35 to 121 put the smallest factor (211 ... 727) in the
+  // shortcut's range; the last three are 71, 131 and 191 bits long.
+  std::vector<BigUint> numbers = {BigUint(561), BigUint(41041),
+                                  BigUint(825265)};
+  for (uint64_t k : {35ull, 45ull, 51ull, 55ull, 56ull, 100ull, 121ull,
+                     1048665ull, 1099511628756ull, 1152921504606847306ull}) {
+    numbers.push_back(Chernick(k));
+  }
+  EXPECT_EQ(numbers[3], BigUint(56052361));  // 211 * 421 * 631
+  for (const BigUint& n : numbers) {
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+      ExpectSameMillerRabin(n, seed);
+    }
+  }
+}
+
+TEST(MillerRabinDiffTest, StrongPseudoprimesToBase2) {
+  // All base-2 strong pseudoprimes below 400000, then one that is also
+  // strong to bases 3, 5 and 7 (151 * 751 * 28351).
+  for (uint64_t n :
+       {2047ull,   3277ull,   4033ull,   4681ull,   8321ull,   15841ull,
+        29341ull,  42799ull,  49141ull,  52633ull,  65281ull,  74665ull,
+        80581ull,  85489ull,  88357ull,  90751ull,  104653ull, 130561ull,
+        196093ull, 220729ull, 233017ull, 252601ull, 253241ull, 256999ull,
+        271951ull, 280601ull, 314821ull, 357761ull, 390937ull,
+        3215031751ull}) {
+    for (uint64_t seed = 0; seed < 50; ++seed) {
+      ExpectSameMillerRabin(BigUint(n), seed);
+    }
+  }
+}
+
+TEST(MillerRabinDiffTest, SmallPrimeTimesRandom) {
+  // n = p * q with p every prime in [41, 1024): the shortcut's prime. q is a
+  // random odd number or a prime, so p is n's smallest factor or not.
+  Rng rng(0x5a11);
+  for (uint64_t p : PrimesFrom41To1024()) {
+    for (uint64_t i = 0; i < 4; ++i) {
+      const size_t bits = 8 + static_cast<size_t>(rng.NextBounded(500));
+      const BigUint q = i == 3 ? BigUint::GeneratePrime(8 + bits / 4, rng)
+                               : OddWithBits(bits, rng);
+      ExpectSameMillerRabin(BigUint::Mul(BigUint(p), q), p * 4 + i);
+    }
+  }
+}
+
+// GeneratePrime against the same search loop over the reference test from
+// seeds 0 to 199 at each size, in shards of 50 seeds: same prime, same
+// generator state afterwards.
+class GeneratePrimeDiffTest
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+TEST_P(GeneratePrimeDiffTest, MatchesReferenceLoop) {
+  const auto [bits, first_seed] = GetParam();
+  for (uint64_t seed = first_seed; seed < first_seed + 50; ++seed) {
+    Rng fast(seed);
+    Rng reference(seed);
+    const BigUint got = BigUint::GeneratePrime(bits, fast);
+    BigUint want;
+    do {
+      want = OddWithBits(bits, reference);
+    } while (!BigUint::IsProbablePrimeReference(want, 20, reference));
+    ASSERT_EQ(got, want) << "bits=" << bits << " seed=" << seed;
+    ASSERT_EQ(fast.NextU64(), reference.NextU64())
+        << "bits=" << bits << " seed=" << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bits, GeneratePrimeDiffTest,
+    ::testing::Combine(::testing::Values(size_t{256}, size_t{384},
+                                         size_t{512}),
+                       ::testing::Values(uint64_t{0}, uint64_t{50},
+                                         uint64_t{100}, uint64_t{150})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, uint64_t>>& param) {
+      return std::to_string(std::get<0>(param.param)) + "_from" +
+             std::to_string(std::get<1>(param.param));
+    });
 
 TEST(RsaTest, CrtSignatureEqualsPlainExponentiation) {
   Rng rng(0xc47);

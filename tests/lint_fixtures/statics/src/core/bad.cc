@@ -7,6 +7,7 @@ static int counter = 0;
 static const int kLimit = 16;      // const: allowed
 static int Helper() { return 1; }  // function, not a variable: allowed
 thread_local int tls_scratch = 0;
+extern constinit thread_local int* tls_elsewhere;  // declaration: allowed
 
 int Bump() {
   static int calls = 0;

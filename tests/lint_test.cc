@@ -82,6 +82,9 @@ TEST(SnicLintTest, MutableStaticsFire) {
   // const statics and static functions are exempt.
   EXPECT_FALSE(HasFinding(findings, "no-mutable-file-static", "kLimit"));
   EXPECT_FALSE(HasFinding(findings, "no-mutable-file-static", "Helper"));
+  // So are extern declarations, constinit or not: the storage is elsewhere.
+  EXPECT_FALSE(
+      HasFinding(findings, "no-mutable-file-static", "tls_elsewhere"));
 }
 
 TEST(SnicLintTest, MutableStaticsAllowlistSilencesWholeFile) {

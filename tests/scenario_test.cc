@@ -247,9 +247,15 @@ TEST(ScenarioRunnerTest, SameSeedSameReports) {
 
 TEST(ScenarioRunnerTest, VerdictsPassAcrossFamilies) {
   const auto specs = GenerateScenarios(kSeed);
-  // One representative per family: single-site, correlated burst,
-  // crash-during-recovery, overload ladder, vNIC attack, compound.
-  for (const char* prefix : {"a/", "b/", "c/", "d/", "e/", "f/"}) {
+  // One representative per family: single-site, overload ladder, vNIC
+  // attack, then correlated burst, crash-during-recovery and compound, whose
+  // must_recover and containment predicates need the injected faults that
+  // -DSNIC_FAULTS_DISABLED compiles out.
+  std::vector<std::string> prefixes = {"a/", "d/", "e/"};
+#ifndef SNIC_FAULTS_DISABLED
+  prefixes.insert(prefixes.end(), {"b/", "c/", "f/"});
+#endif
+  for (const std::string& prefix : prefixes) {
     const ScenarioSpec& spec = FindSpec(specs, prefix);
     const ScenarioVerdict verdict = EvaluateScenario(spec, kSeed);
     EXPECT_TRUE(verdict.pass) << spec.name << ": " << verdict.detail;
@@ -263,12 +269,14 @@ TEST(ScenarioRunnerTest, CompoundScenarioContainsWithBystanderIdentity) {
   const auto specs = GenerateScenarios(kSeed);
   const ScenarioSpec& spec = FindSpec(specs, "f/fault-during-recovery");
   const ScenarioVerdict verdict = EvaluateScenario(spec, kSeed);
-  EXPECT_TRUE(verdict.pass) << verdict.detail;
   EXPECT_NE(verdict.detail.find("bystander_identical=ok"), std::string::npos)
       << verdict.detail;
+#ifndef SNIC_FAULTS_DISABLED  // the victim only crashes when faults fire
+  EXPECT_TRUE(verdict.pass) << verdict.detail;
   EXPECT_NE(verdict.detail.find("containment:victim-a=ok"),
             std::string::npos)
       << verdict.detail;
+#endif
 }
 
 TEST(ScenarioRunnerTest, VerdictFailuresNameTheBrokenPredicate) {

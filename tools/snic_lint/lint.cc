@@ -895,9 +895,16 @@ class Linter {
            toks[i - 1].text == "thread_local")) {
         continue;
       }
-      if (i > 0 && toks[i - 1].kind == TokKind::kIdent &&
-          toks[i - 1].text == "extern") {
-        continue;  // extern declaration, storage lives elsewhere
+      // extern declaration (`extern [constinit] thread_local`): the storage
+      // lives elsewhere.
+      size_t spec = i;
+      if (spec > 0 && toks[spec - 1].kind == TokKind::kIdent &&
+          toks[spec - 1].text == "constinit") {
+        --spec;
+      }
+      if (spec > 0 && toks[spec - 1].kind == TokKind::kIdent &&
+          toks[spec - 1].text == "extern") {
+        continue;
       }
       // Scan the declaration: the first of `(` `;` `=` `{` decides whether
       // this is a function (paren first) or a variable.
