@@ -4,7 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -48,13 +48,19 @@ constexpr uint32_t kElasticPressureSteps = 3;
 constexpr uint64_t kElasticSampleSteps = 8;
 constexpr double kElasticRxHighWater = 0.9;
 
+// Appends printf-style output at its full length: tenant names, which
+// start every report line, have no length limit.
 void AppendF(std::string& out, const char* fmt, ...) {
-  char line[512];
-  va_list args;
+  va_list args, sizing;
   va_start(args, fmt);
-  std::vsnprintf(line, sizeof(line), fmt, args);
+  va_copy(sizing, args);
+  const int len = std::vsnprintf(nullptr, 0, fmt, sizing);
+  SNIC_CHECK(len >= 0);
+  const size_t at = out.size();
+  out.resize(at + static_cast<size_t>(len));  // vsnprintf's NUL fits after
+  std::vsnprintf(out.data() + at, static_cast<size_t>(len) + 1, fmt, args);
+  va_end(sizing);
   va_end(args);
-  out += line;
 }
 
 mgmt::FunctionImage MakeImage(const TenantSpec& tenant) {
@@ -101,8 +107,8 @@ std::vector<uint8_t> RefillBlock(uint64_t posted_total, uint32_t count,
 
 net::Packet MakePacket(Rng& rng, uint16_t port) {
   net::FiveTuple tuple;
-  tuple.src_ip = net::Ipv4FromString("10.0.0.9");
-  tuple.dst_ip = net::Ipv4FromString("203.0.113.7");
+  tuple.src_ip = (10u << 24) | 9u;                  // 10.0.0.9
+  tuple.dst_ip = (203u << 24) | (113u << 8) | 7u;  // 203.0.113.7
   tuple.src_port = static_cast<uint16_t>(10000 + rng.NextBounded(100));
   tuple.dst_port = port;
   tuple.protocol = 6;
@@ -113,6 +119,30 @@ net::Packet MakePacket(Rng& rng, uint16_t port) {
     payload[k] = static_cast<uint8_t>(rng.NextU64());
   }
   return net::PacketBuilder().SetTuple(tuple).SetPayload(payload).Build();
+}
+
+size_t TenantIndex(const ScenarioSpec& spec, const std::string& name) {
+  for (size_t i = 0; i < spec.tenants.size(); ++i) {
+    if (spec.tenants[i].name == name) {
+      return i;
+    }
+  }
+  return spec.tenants.size();
+}
+
+mgmt::SupervisorConfig SupervisorConfigFor(const ScenarioSpec& spec,
+                                           uint64_t seed) {
+  const SupervisorSpec& s = spec.supervisor;
+  const uint64_t cps = spec.cycles_per_step;
+  return {.seed = runtime::DeriveTaskSeed(seed, 3),
+          .watchdog_timeout_cycles = s.watchdog_timeout_steps * cps,
+          .backoff_base_cycles = s.backoff_base_steps * cps,
+          .backoff_max_cycles = s.backoff_max_steps * cps,
+          .backoff_jitter_pct = s.backoff_jitter_pct,
+          .quarantine_after = s.quarantine_after,
+          .stable_cycles = s.stable_steps * cps,
+          .verify_attestation = s.verify_attestation,
+          .max_concurrent_restarts = s.max_concurrent_restarts};
 }
 
 // Per-tenant live state the step loop carries.
@@ -129,584 +159,485 @@ struct TenantState {
   uint64_t completions = 0;
   uint64_t posted_total = 0;
   uint64_t resets_seen = 0;
-  uint64_t tx_rejected = 0;
-  uint64_t wire_rejected = 0;
   obs::Counter* rx_counter = nullptr;
   obs::Counter* tx_counter = nullptr;
-  // Recovery tracking.
-  uint64_t crash_step = 0;
+  uint64_t crash_step = 0;  // when the open recovery window opened
   bool crash_open = false;
 };
 
-}  // namespace
-
-RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
-                           obs::TraceRing* trace_ring) {
-  RunResult result;
-  const size_t n = spec.tenants.size();
-  result.tenants.resize(n);
-  const uint64_t cps = spec.cycles_per_step;
-
-  obs::MetricRegistry registry;
-  obs::ScopedDefaultRegistry scoped_registry(&registry);
-  obs::TraceRing local_ring;
-  obs::TraceRing& ring = trace_ring != nullptr ? *trace_ring : local_ring;
-
-  fault::FaultPlane plane(runtime::DeriveTaskSeed(seed, 1));
-  plane.AttachObs(&registry);
-  plane.AttachTraceRing(&ring);
-  fault::ScopedFaultPlane scoped_plane(&plane);
-
-  Rng vendor_rng(runtime::DeriveTaskSeed(seed, 2));
-  crypto::VendorAuthority vendor(512, vendor_rng);
-  core::SnicConfig config;
-  config.num_cores = 8;
-  config.dram_bytes = 256ull << 20;
-  config.rsa_modulus_bits = 512;
-  core::SnicDevice device(config, vendor);
-  device.AttachTraceRing(&ring);
-  mgmt::NicOs nic_os(&device);
-
-  const bool any_vf = [&] {
-    for (const TenantSpec& t : spec.tenants) {
-      if (t.has_vf) {
-        return true;
+// One constellation run: set-up in the constructor, then Step() per step,
+// then Finish(). The front-end and Supervisor callbacks hold `this`.
+class Constellation {
+ public:
+  Constellation(const ScenarioSpec& spec, uint64_t seed,
+                obs::TraceRing* trace_ring)
+      : spec_(spec),
+        n_(spec.tenants.size()),
+        cps_(spec.cycles_per_step),
+        target_index_(spec.has_overload
+                          ? TenantIndex(spec, spec.overload.target)
+                          : n_),
+        chain_index_(spec.has_overload && !spec.overload.chain_to.empty()
+                         ? TenantIndex(spec, spec.overload.chain_to)
+                         : n_),
+        scoped_registry_(&registry_),
+        ring_(trace_ring != nullptr ? *trace_ring : local_ring_),
+        plane_(runtime::DeriveTaskSeed(seed, 1)),
+        scoped_plane_(&plane_),
+        vendor_rng_(runtime::DeriveTaskSeed(seed, 2)),
+        vendor_(512, vendor_rng_),
+        device_(core::SnicConfig{.num_cores = 8,
+                                 .dram_bytes = 256ull << 20,
+                                 .rsa_modulus_bits = 512},
+                vendor_),
+        nic_os_(&device_),
+        supervisor_(&nic_os_, vendor_.public_key(),
+                    SupervisorConfigFor(spec, seed)),
+        state_(n_),
+        host_(64 * 1024),
+        dma_(&device_, &host_),
+        chains_(&device_) {
+    result_.tenants.resize(n_);
+    // The plane has no rules until the schedule below, so it can miss
+    // nothing by being wired after the device boots.
+    plane_.AttachObs(&registry_);
+    plane_.AttachTraceRing(&ring_);
+    device_.AttachTraceRing(&ring_);
+    if (std::any_of(spec.tenants.begin(), spec.tenants.end(),
+                    [](const TenantSpec& t) { return t.has_vf; })) {
+      front_end_.AttachObs(&registry_);
+      front_end_.AttachTraceRing(&ring_);
+      device_.AttachVnicFrontEnd(&front_end_);
+    }
+    supervisor_.AttachObs(&registry_);
+    supervisor_.AttachTraceRing(&ring_);
+    for (size_t i = 0; i < n_; ++i) {
+      const std::string& name = spec.tenants[i].name;
+      const auto id = supervisor_.Adopt(MakeImage(spec.tenants[i]));
+      SNIC_CHECK(id.ok());
+      state_[i].nf_id = id.value();
+      state_[i].traffic = Rng(runtime::DeriveTaskSeed(seed, 16 + i));
+      state_[i].rx_counter =
+          &registry_.GetCounter("scenario.rx", {{"nf", name}});
+      state_[i].tx_counter =
+          &registry_.GetCounter("scenario.tx", {{"nf", name}});
+    }
+    for (size_t i = 0; i < n_; ++i) {  // VF numbering is part of the replay
+      if (spec.tenants[i].dma) {
+        BindDma(i);
+      }
+      if (spec.tenants[i].has_vf) {
+        CreateVf(i);
       }
     }
-    return false;
-  }();
-  core::vnic::PfVfManager front_end;
-  if (any_vf) {
-    front_end.AttachObs(&registry);
-    front_end.AttachTraceRing(&ring);
-    device.AttachVnicFrontEnd(&front_end);
+    front_end_.SetAbuseCallback(
+        [this](uint32_t vf, core::vnic::VfAbuse kind) { OnAbuse(vf, kind); });
+    supervisor_.SetRestartCallback(
+        [this](const std::string& name, uint64_t old_id, uint64_t new_id) {
+          OnRestart(name, old_id, new_id);
+        });
+    // The fault schedule goes in after set-up (skip/count windows start
+    // from here, so adoption never consumes a rule's hits).
+    for (const FaultRuleSpec& r : spec.faults) {
+      const size_t owner = TenantIndex(spec, r.nf);
+      const uint64_t nf_id = r.has_raw_id   ? r.raw_id
+                             : r.nf.empty() ? fault::kAnyNf
+                                            : state_.at(owner).nf_id;
+      plane_.AddRule({.site = r.site, .nf_id = nf_id, .skip = r.skip,
+                      .count = r.count, .period = r.period,
+                      .probability = r.probability,
+                      .stall_cycles = r.stall_cycles,
+                      .on_attempt = r.on_attempt});
+    }
+    if (chain_index_ < n_) {
+      chains_.AttachTraceRing(&ring_);
+      RelinkChain(target_index_, state_[target_index_].nf_id);
+    }
+    if (spec.has_overload && spec.overload.elastic_pool) {
+      TenantSpec unit;
+      unit.name = "elastic";
+      unit.port = kElasticPort;
+      mgmt::FunctionImage image = MakeImage(unit);
+      image.memory_bytes = 4ull << 20;
+      pool_ = std::make_unique<mgmt::Autoscaler>(
+          &nic_os_,
+          mgmt::AutoscalerConfig{.image = std::move(image),
+                                 .capacity_per_instance = kElasticCapacity,
+                                 .min_instances = 1,
+                                 .max_instances = kElasticMaxInstances,
+                                 .pressure_scale_up_after =
+                                     kElasticPressureSteps});
+    }
+    if (spec.bus_domains > 0) {
+      bus_ = std::make_unique<sim::TemporalPartitionArbiter>(
+          sim::TemporalPartitionArbiter::Config{
+              .transfer_cycles = 4, .num_domains = spec.bus_domains,
+              .epoch_cycles = 64, .dead_time_cycles = 8});
+    }
   }
 
-  mgmt::SupervisorConfig sup_config;
-  sup_config.seed = runtime::DeriveTaskSeed(seed, 3);
-  sup_config.watchdog_timeout_cycles =
-      spec.supervisor.watchdog_timeout_steps * cps;
-  sup_config.backoff_base_cycles = spec.supervisor.backoff_base_steps * cps;
-  sup_config.backoff_max_cycles = spec.supervisor.backoff_max_steps * cps;
-  sup_config.backoff_jitter_pct = spec.supervisor.backoff_jitter_pct;
-  sup_config.quarantine_after = spec.supervisor.quarantine_after;
-  sup_config.stable_cycles = spec.supervisor.stable_steps * cps;
-  sup_config.max_concurrent_restarts = spec.supervisor.max_concurrent_restarts;
-  sup_config.verify_attestation = spec.supervisor.verify_attestation;
-  mgmt::Supervisor supervisor(&nic_os, vendor.public_key(), sup_config);
-  supervisor.AttachObs(&registry);
-  supervisor.AttachTraceRing(&ring);
+  Constellation(const Constellation&) = delete;
+  Constellation& operator=(const Constellation&) = delete;
 
-  std::vector<TenantState> state(n);
-  std::map<std::string, size_t> index_of;
-  for (size_t i = 0; i < n; ++i) {
-    const auto id = supervisor.Adopt(MakeImage(spec.tenants[i]));
-    SNIC_CHECK(id.ok());
-    state[i].nf_id = id.value();
-    state[i].traffic = Rng(runtime::DeriveTaskSeed(seed, 16 + i));
-    state[i].rx_counter =
-        &registry.GetCounter("scenario.rx", {{"nf", spec.tenants[i].name}});
-    state[i].tx_counter =
-        &registry.GetCounter("scenario.tx", {{"nf", spec.tenants[i].name}});
-    index_of[spec.tenants[i].name] = i;
-  }
-
-  // DMA banks: one channel per dma-enabled tenant, disjoint windows.
-  mgmt::HostMemory host(64 * 1024);
-  mgmt::DmaController dma(&device, &host);
-  const auto bank_for = [](size_t index, uint64_t nf_id) {
-    mgmt::DmaBankConfig bank;
-    bank.nf_id = nf_id;
-    bank.host_window_base = 4096 * index;
-    bank.host_window_bytes = 4096;
-    bank.nic_window_vbase = 0x10000 + 0x1000 * index;
-    bank.nic_window_bytes = 4096;
-    return bank;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    if (spec.tenants[i].dma) {
-      SNIC_CHECK_OK(
-          dma.ConfigureBank(static_cast<uint32_t>(i + 1),
-                            bank_for(i, state[i].nf_id)));
-    }
-  }
-
-  // VFs, created in declaration order (VF numbering is part of the replay).
-  for (size_t i = 0; i < n; ++i) {
-    if (!spec.tenants[i].has_vf) {
-      continue;
-    }
-    const VfSpec& v = spec.tenants[i].vf;
-    core::vnic::VfQuota quota;
-    quota.ring_slots = v.ring_slots;
-    quota.cq_slots = v.cq_slots;
-    quota.posted_bytes_limit = v.posted_bytes_limit;
-    quota.abuse_threshold = v.abuse_threshold;
-    const auto vf =
-        front_end.CreateVf(state[i].nf_id, device.Vpp(state[i].nf_id), quota);
-    SNIC_CHECK(vf.ok());
-    state[i].vf = vf.value();
-  }
-
-  // Abuse verdicts: attacker VFs feed containment (crash with kVnicAbuse);
-  // a verdict on anyone else's VF is a detector false positive, counted.
-  front_end.SetAbuseCallback([&](uint32_t vf, core::vnic::VfAbuse kind) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!spec.tenants[i].has_vf || state[i].vf != vf) {
-        continue;
-      }
-      if (spec.tenants[i].role != TenantRole::kAttacker) {
-        ++result.false_abuse_flags;
-        return;
-      }
-      ++result.abuse_reports[static_cast<int>(kind)];
-      if (supervisor.HealthOf(spec.tenants[i].name) ==
-          mgmt::NfHealth::kRunning) {
-        supervisor.ReportCrash(spec.tenants[i].name,
-                               mgmt::CrashCause::kVnicAbuse);
-      }
-      return;
-    }
-  });
-
-  // The overload target's optional credit chain to its downstream consumer,
-  // re-created whenever either endpoint relaunches under a new id.
-  const size_t target_index =
-      spec.has_overload ? index_of.at(spec.overload.target) : n;
-  const size_t chain_index =
-      spec.has_overload && !spec.overload.chain_to.empty()
-          ? index_of.at(spec.overload.chain_to)
-          : n;
-  core::ChainManager chains(&device);
-  const auto relink_chain = [&](size_t i, uint64_t old_id) {
-    if (chain_index == n || (i != target_index && i != chain_index)) {
-      return;
-    }
-    chains.RemoveLinksFor(old_id);
-    core::ChainLinkConfig link;
-    link.producer_nf = state[target_index].nf_id;
-    link.consumer_nf = state[chain_index].nf_id;
-    link.frames_per_tick = kChainFramesPerTick;
-    link.flow_control = core::ChainFlowControl::kCredit;
-    SNIC_CHECK(chains.CreateLink(link).ok());
-  };
-
-  supervisor.SetRestartCallback([&](const std::string& name, uint64_t old_id,
-                                    uint64_t new_id) {
-    const auto it = index_of.find(name);
-    SNIC_CHECK(it != index_of.end());
-    const size_t i = it->second;
-    plane.RetargetRules(old_id, new_id);
-    state[i].nf_id = new_id;
-    ++result.tenants[i].restarts;
-    if (spec.tenants[i].dma) {
-      SNIC_CHECK_OK(dma.ConfigureBank(static_cast<uint32_t>(i + 1),
-                                      bank_for(i, new_id)));
-    }
-    if (spec.tenants[i].has_vf) {
-      SNIC_CHECK_OK(
-          front_end.RebindVf(state[i].vf, new_id, device.Vpp(new_id)));
-    }
-    relink_chain(i, old_id);
-  });
-
-  // The spec's fault schedule, installed after setup (skip/count windows
-  // start from here, so adoption never consumes a rule's hits).
-  for (const FaultRuleSpec& r : spec.faults) {
-    fault::FaultRule rule;
-    rule.site = r.site;
-    if (r.has_raw_id) {
-      rule.nf_id = r.raw_id;
-    } else if (r.nf.empty()) {
-      rule.nf_id = fault::kAnyNf;
-    } else {
-      rule.nf_id = state[index_of.at(r.nf)].nf_id;
-    }
-    rule.skip = r.skip;
-    rule.count = r.count;
-    rule.period = r.period;
-    rule.probability = r.probability;
-    rule.stall_cycles = r.stall_cycles;
-    rule.on_attempt = r.on_attempt;
-    plane.AddRule(rule);
-  }
-
-  if (chain_index < n) {
-    chains.AttachTraceRing(&ring);
-    relink_chain(target_index, state[target_index].nf_id);
-  }
-  std::unique_ptr<mgmt::Autoscaler> pool;
-  if (spec.has_overload && spec.overload.elastic_pool) {
-    TenantSpec unit;
-    unit.name = "elastic";
-    unit.port = kElasticPort;
-    mgmt::AutoscalerConfig pool_config;
-    pool_config.image = MakeImage(unit);
-    pool_config.image.memory_bytes = 4ull << 20;
-    pool_config.capacity_per_instance = kElasticCapacity;
-    pool_config.min_instances = 1;
-    pool_config.max_instances = kElasticMaxInstances;
-    pool_config.pressure_scale_up_after = kElasticPressureSteps;
-    pool = std::make_unique<mgmt::Autoscaler>(&nic_os, pool_config);
-  }
-
-  std::unique_ptr<sim::TemporalPartitionArbiter> bus;
-  if (spec.bus_domains > 0) {
-    sim::TemporalPartitionArbiter::Config bus_config;
-    bus_config.transfer_cycles = 4;
-    bus_config.num_domains = spec.bus_domains;
-    bus_config.epoch_cycles = 64;
-    bus_config.dead_time_cycles = 8;
-    bus = std::make_unique<sim::TemporalPartitionArbiter>(bus_config);
-  }
-
-  const auto zip = accel::AcceleratorType::kZip;
-  const auto cluster_of = [&](uint64_t nf_id) -> int {
-    for (uint32_t i = 0; i < device.accel_pool().NumClusters(zip); ++i) {
-      if (device.accel_pool().Owner(zip, i) ==
-          std::optional<uint64_t>(nf_id)) {
-        return static_cast<int>(i);
+  // Each phase runs over every tenant before the next begins. Step() is the
+  // attach point for a per-step invariant auditor.
+  void Step(uint64_t step) {
+    const uint64_t now = (step + 1) * cps_;
+    plane_.AdvanceClockTo(now);
+    device_.AdvanceClockTo(now);
+    for (size_t i = 0; i < n_; ++i) {
+      if (spec_.tenants[i].has_vf) {
+        ServeVf(i);
       }
     }
-    return -1;
-  };
-
-  // The overload target's breaker-gated accelerator dispatch; recreated
-  // (state and all) when the target relaunches, like a fresh instance.
-  std::unique_ptr<core::AccelDispatchGate> gate;
-  uint64_t gate_generation = 0;
-  const auto retire_gate = [&] {
-    if (gate != nullptr) {
-      const core::CircuitBreakerStats& b = gate->breaker().stats();
-      result.breaker_opens += b.opens;
-      result.breaker_reopens += b.reopens;
-      result.breaker_closes += b.closes;
+    for (size_t i = 0; i < n_; ++i) {
+      OfferTraffic(i);
     }
-  };
-  const auto ensure_gate = [&](size_t i) {
-    if (!spec.has_overload || i != target_index ||
-        spec.tenants[i].zip_clusters == 0) {
-      return;
-    }
-    if (gate != nullptr && gate_generation == result.tenants[i].restarts) {
-      return;
-    }
-    core::CircuitBreakerConfig breaker_config;
-    breaker_config.failures_to_open = 3;
-    breaker_config.open_cycles = 10 * cps;
-    breaker_config.half_open_successes = 2;
-    retire_gate();
-    gate = std::make_unique<core::AccelDispatchGate>(
-        &device.accel_pool(), state[i].nf_id, breaker_config);
-    gate_generation = result.tenants[i].restarts;
-  };
-
-  uint64_t offered_acc = 0;
-  uint64_t chain_consumed = 0;
-
-  // With a chain the target's TX belongs to the link, so the wire drains
-  // every other tenant's pipeline and never the target's.
-  const auto next_wire_frame = [&]() -> Result<net::Packet> {
-    if (chain_index == n) {
-      return device.TransmitToWire();
-    }
-    for (size_t i = 0; i < n; ++i) {
-      core::VirtualPacketPipeline* vpp = device.Vpp(state[i].nf_id);
-      if (i != target_index && vpp != nullptr && vpp->PeekTx() != nullptr) {
-        return vpp->DequeueTx();
-      }
-    }
-    return NotFound("no pending TX");
-  };
-
-  for (uint64_t step = 0; step < spec.steps; ++step) {
-    const uint64_t now = (step + 1) * cps;
-    plane.AdvanceClockTo(now);
-    device.AdvanceClockTo(now);
-
-    // --- vNIC maintenance -------------------------------------------------
-    for (size_t i = 0; i < n; ++i) {
-      if (!spec.tenants[i].has_vf) {
-        continue;
-      }
-      TenantState& ts = state[i];
-      const TenantSpec& t = spec.tenants[i];
-      const bool attacker = t.role == TenantRole::kAttacker;
-      if (attacker) {
-        const bool running =
-            supervisor.HealthOf(t.name) == mgmt::NfHealth::kRunning;
-        if (!running || front_end.IsQuarantined(ts.vf)) {
-          continue;
-        }
-        const core::vnic::VfStats& xs = front_end.StatsOf(ts.vf);
-        if (xs.resets != ts.resets_seen) {
-          ts.resets_seen = xs.resets;
-          ts.posted_total = 0;  // VF reset rewound the expected ring index
-        }
-        const uint32_t occupancy = front_end.RingOccupancy(ts.vf);
-        if (occupancy < t.vf.ring_slots) {
-          const uint32_t refill = t.vf.ring_slots - occupancy;
-          if (front_end
-                  .PostDescriptors(ts.vf,
-                                   RefillBlock(ts.posted_total, refill,
-                                               t.vf.ring_slots,
-                                               kAttackerBufferBytes))
-                  .ok()) {
-            ts.posted_total += refill;
-          }
-        }
-        const uint64_t flood =
-            spec.has_attack && spec.attack.target == t.name
-                ? spec.attack.flood_rings
-                : 0;
-        for (uint64_t k = 0; k < 1 + flood; ++k) {
-          (void)front_end.RingDoorbell(ts.vf);
-        }
-        const bool squat =
-            spec.has_attack && spec.attack.target == t.name && spec.attack.squat;
-        if (!squat) {
-          while (front_end.Harvest(ts.vf).ok()) {
-          }
-        }
-      } else {
-        // Well-behaved VF tenant: keep the ring full, one doorbell per
-        // step — comfortably inside the policer budget.
-        const uint32_t occupancy = front_end.RingOccupancy(ts.vf);
-        if (occupancy < t.vf.ring_slots) {
-          const uint32_t refill = t.vf.ring_slots - occupancy;
-          SNIC_CHECK_OK(front_end.PostDescriptors(
-              ts.vf, RefillBlock(ts.posted_total, refill, t.vf.ring_slots,
-                                 kVfBufferBytes)));
-          ts.posted_total += refill;
-        }
-        SNIC_CHECK(front_end.RingDoorbell(ts.vf));
-      }
-    }
-
-    // --- Wire traffic -----------------------------------------------------
-    for (size_t i = 0; i < n; ++i) {
-      TenantState& ts = state[i];
-      const TenantSpec& t = spec.tenants[i];
-      if (spec.has_overload && i == target_index) {
-        // Offered load at load_pct% of the service budget, scheduled by an
-        // integer accumulator so fractional factors stay deterministic.
-        offered_acc += spec.overload.load_pct * spec.overload.service_per_step;
-        while (offered_acc >= 100) {
-          offered_acc -= 100;
-          ++result.offered;
-          if (!device.DeliverFromWire(MakePacket(ts.traffic, t.port)).ok()) {
-            ++ts.wire_rejected;
-          }
-        }
-        continue;
-      }
-      for (uint64_t k = 0; k < t.frames_per_step; ++k) {
-        if (!device.DeliverFromWire(MakePacket(ts.traffic, t.port)).ok()) {
-          ++ts.wire_rejected;
+    for (uint32_t d = 0; bus_ != nullptr && d < spec_.bus_domains; ++d) {
+      const uint64_t grant = bus_->Grant(now, d);
+      for (size_t i = 0; i < n_; ++i) {
+        if (spec_.tenants[i].bus_domain == static_cast<int32_t>(d)) {
+          state_[i].bus_digest.Mix64(grant);
+          ++state_[i].bus_grants;
         }
       }
     }
-
-    // --- Bus grants -------------------------------------------------------
-    if (bus != nullptr) {
-      for (uint32_t d = 0; d < spec.bus_domains; ++d) {
-        const uint64_t grant = bus->Grant(now, d);
-        for (size_t i = 0; i < n; ++i) {
-          if (spec.tenants[i].bus_domain == static_cast<int32_t>(d)) {
-            state[i].bus_digest.Mix64(grant);
-            ++state[i].bus_grants;
-          }
-        }
+    for (size_t i = 0; i < n_; ++i) {
+      switch (spec_.tenants[i].role) {
+        case TenantRole::kBystander:
+          ServeBystander(i);
+          break;
+        case TenantRole::kAttacker:
+          ServeAttacker(i);
+          break;
+        case TenantRole::kWorkload:
+          ServeWorkload(i, now);
+          break;
       }
     }
-
-    // --- Per-tenant service ----------------------------------------------
-    for (size_t i = 0; i < n; ++i) {
-      TenantState& ts = state[i];
-      const TenantSpec& t = spec.tenants[i];
-      const bool running =
-          supervisor.HealthOf(t.name) == mgmt::NfHealth::kRunning;
-
-      if (t.role == TenantRole::kBystander) {
-        // Poll, digest, echo: everything it observes joins its record.
-        for (;;) {
-          auto received = device.NfReceive(ts.nf_id);
-          if (!received.ok()) {
-            break;
-          }
-          net::Packet packet = std::move(received).value();
-          ts.rx_digest.Mix(packet.bytes().data(), packet.size());
-          ts.rx_counter->Inc();
-          if (device.NfSend(ts.nf_id, std::move(packet)).ok()) {
-            ts.tx_counter->Inc();
-          }
-        }
-        if (t.has_vf) {
-          for (;;) {
-            const auto completion = front_end.Harvest(ts.vf);
-            if (!completion.ok()) {
-              break;
-            }
-            const auto& c = completion.value();
-            ts.cpl_digest.Mix64(c.ring_index);
-            ts.cpl_digest.Mix64(c.bytes);
-            ts.cpl_digest.Mix64(c.cycle);
-            ts.cpl_digest.Mix64(c.wait_cycles);
-            ++ts.completions;
-          }
-        }
-        supervisor.Heartbeat(t.name);
-        continue;
-      }
-
-      if (t.role == TenantRole::kAttacker) {
-        // Drain its own pipeline so squatting (not a full VPP) is what
-        // fills the completion queue.
-        if (running) {
-          for (;;) {
-            auto received = device.NfReceive(ts.nf_id);
-            if (!received.ok()) {
-              break;
-            }
-            (void)device.NfSend(ts.nf_id, std::move(received).value());
-          }
-          supervisor.Heartbeat(t.name);
-        }
-        continue;
-      }
-
-      // Workload tenants (the chain consumer is served after the hop).
-      if (!running || i == chain_index) {
-        continue;
-      }
-      const bool hung = SNIC_FAULT_FIRES(fault::sites::kNfHang, ts.nf_id);
-      if (hung) {
-        continue;  // no service, no heartbeat: the watchdog's job
-      }
-      bool crashed = false;
-      if (spec.has_overload && i == target_index) {
-        // Budgeted service through the breaker-gated accelerator: an open
-        // breaker answers immediately and the frame takes the software
-        // path — degraded, never dropped.
-        ensure_gate(i);
-        const int cluster =
-            t.zip_clusters > 0 ? cluster_of(ts.nf_id) : -1;
-        for (uint64_t k = 0; k < spec.overload.service_per_step; ++k) {
-          auto received = device.NfReceive(ts.nf_id);
-          if (!received.ok()) {
-            break;
-          }
-          if (gate != nullptr && cluster >= 0) {
-            (void)gate->Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000,
-                                 false, now);
-          }
-          if (!device.NfSend(ts.nf_id, std::move(received).value()).ok()) {
-            ++ts.tx_rejected;
-          }
-        }
-      } else {
-        for (;;) {
-          auto received = device.NfReceive(ts.nf_id);
-          if (!received.ok()) {
-            break;
-          }
-          if (!device.NfSend(ts.nf_id, std::move(received).value()).ok()) {
-            ++ts.tx_rejected;
-          }
-        }
-      }
-      if (t.dma) {
-        const uint32_t channel = static_cast<uint32_t>(i + 1);
-        Status h2n = dma.HostToNic(channel, 4096 * i,
-                                   0x10000 + 0x1000 * i, 256);
-        Status n2h = !h2n.ok() ? OkStatus()
-                               : dma.NicToHost(channel, 0x10000 + 0x1000 * i,
-                                               4096 * i + 1024, 256);
-        if (h2n.code() == ErrorCode::kUnavailable ||
-            n2h.code() == ErrorCode::kUnavailable) {
-          supervisor.ReportCrash(t.name, mgmt::CrashCause::kDmaFault);
-          crashed = true;
-        }
-      }
-      if (!crashed && t.zip_clusters > 0 && !supervisor.IsDegraded(t.name) &&
-          !(spec.has_overload && i == target_index)) {
-        const int cluster = cluster_of(ts.nf_id);
-        if (cluster >= 0) {
-          auto access = device.accel_pool().ThreadAccess(
-              zip, static_cast<uint32_t>(cluster), 0x1000, false);
-          if (!access.ok() &&
-              access.status().code() == ErrorCode::kUnavailable) {
-            supervisor.ReportCrash(t.name, mgmt::CrashCause::kAccelFault);
-            crashed = true;
-          }
-        }
-      }
-      if (crashed) {
-        ++result.tenants[i].crashes_seen;
-      } else {
-        supervisor.Heartbeat(t.name);
-      }
-    }
-
-    // --- Chain hop, downstream consumer, elastic pool ---------------------
-    if (chain_index < n) {
-      chains.TickAll();
-      const std::string& name = spec.tenants[chain_index].name;
-      if (supervisor.HealthOf(name) == mgmt::NfHealth::kRunning) {
-        for (uint64_t k = 0; k < kChainConsumePerStep; ++k) {
-          if (!device.NfReceive(state[chain_index].nf_id).ok()) {
-            break;
-          }
-          ++chain_consumed;
-        }
-        supervisor.Heartbeat(name);
-      }
-    }
-    if (pool != nullptr &&
+    ServeChainConsumer();
+    if (pool_ != nullptr &&
         step % kElasticSampleSteps == kElasticSampleSteps - 1) {
-      const uint64_t target_id = state[target_index].nf_id;
-      const core::VirtualPacketPipeline* vpp = device.Vpp(target_id);
-      const bool pressured =
-          chains.AnyBackpressure(target_id) ||
-          (vpp != nullptr && vpp->RxFillFraction() > kElasticRxHighWater);
+      const uint64_t target_id = state_[target_index_].nf_id;
+      const core::VirtualPacketPipeline* vpp = device_.Vpp(target_id);
       // A launch the device cannot fit is the pool's failure, absorbed or
       // counted in its stats; it never aborts the run.
-      (void)pool->Step(1.0, pressured);
+      (void)pool_->Step(1.0, chains_.AnyBackpressure(target_id) ||
+                                 (vpp != nullptr && vpp->RxFillFraction() >
+                                                        kElasticRxHighWater));
     }
-
-    supervisor.Tick(now);
-
-    // Mirror Supervisor quarantine verdicts to the device edge: from here
-    // on the tenant's frames drop at its VF, not in the switch.
-    for (size_t i = 0; i < n; ++i) {
-      if (spec.tenants[i].has_vf &&
-          supervisor.HealthOf(spec.tenants[i].name) ==
-              mgmt::NfHealth::kQuarantined &&
-          !front_end.IsQuarantined(state[i].vf)) {
-        SNIC_CHECK_OK(front_end.QuarantineVf(state[i].vf));
+    supervisor_.Tick(now);
+    for (size_t i = 0; i < n_; ++i) {
+      TenantState& ts = state_[i];
+      const mgmt::NfHealth health = supervisor_.HealthOf(spec_.tenants[i].name);
+      // A Supervisor quarantine moves to the device edge: from here on the
+      // tenant's frames drop at its VF, not in the switch.
+      if (spec_.tenants[i].has_vf && health == mgmt::NfHealth::kQuarantined &&
+          !front_end_.IsQuarantined(ts.vf)) {
+        SNIC_CHECK_OK(front_end_.QuarantineVf(ts.vf));
       }
-    }
-
-    // Recovery-deadline tracking: a crash opens a window that closes when
-    // the tenant is Running again or quarantined.
-    for (size_t i = 0; i < n; ++i) {
-      TenantState& ts = state[i];
-      const mgmt::NfHealth health = supervisor.HealthOf(spec.tenants[i].name);
-      if (!ts.crash_open && health == mgmt::NfHealth::kRestarting) {
+      // A crash opens a recovery window that closes when the tenant is
+      // Running again or quarantined.
+      const bool restarting = health == mgmt::NfHealth::kRestarting;
+      if (!ts.crash_open && restarting) {
         ts.crash_open = true;
         ts.crash_step = step;
-      } else if (ts.crash_open && health != mgmt::NfHealth::kRestarting) {
-        const uint64_t gap = step - ts.crash_step;
-        if (gap > result.tenants[i].worst_recovery_steps) {
-          result.tenants[i].worst_recovery_steps = gap;
-        }
+      } else if (ts.crash_open && !restarting) {
+        uint64_t& worst = result_.tenants[i].worst_recovery_steps;
+        worst = std::max(worst, step - ts.crash_step);
         ts.crash_open = false;
       }
     }
+    DrainWire();
+  }
 
-    // --- Drain the wire; attribute frames by destination port ------------
+  RunResult Finish() {
+    for (size_t i = 0; i < n_; ++i) {
+      ReportTenant(i);
+    }
+    if (target_index_ < n_) {
+      result_.target_goodput =
+          chain_index_ < n_ ? chain_consumed_
+                            : result_.tenants[target_index_].wire_packets;
+      const core::VirtualPacketPipeline* vpp =
+          device_.Vpp(state_[target_index_].nf_id);
+      if (vpp != nullptr) {
+        result_.queue_peak_frames = vpp->stats().rx_peak_frames;
+        result_.queue_peak_bytes = vpp->stats().rx_peak_bytes;
+      }
+    }
+    RetireGate();
+    if (pool_ != nullptr) {
+      result_.pressure_scale_ups = pool_->stats().pressure_scale_ups;
+    }
+    result_.supervisor = supervisor_.stats();
+    result_.faults_injected = plane_.injected_total();
+    return std::move(result_);
+  }
+
+ private:
+  void CreateVf(size_t i) {
+    const VfSpec& v = spec_.tenants[i].vf;
+    const uint64_t nf_id = state_[i].nf_id;
+    const auto vf = front_end_.CreateVf(
+        nf_id, device_.Vpp(nf_id),
+        {.ring_slots = v.ring_slots, .cq_slots = v.cq_slots,
+         .posted_bytes_limit = v.posted_bytes_limit, .doorbell = {},
+         .abuse_threshold = v.abuse_threshold});
+    SNIC_CHECK(vf.ok());
+    state_[i].vf = vf.value();
+  }
+
+  // The DMA layout: tenant i's bank (channel i + 1) is the i-th 4 KiB page
+  // past each window base, disjoint from every other tenant's.
+  mgmt::DmaBankConfig DmaBank(size_t i) const {
+    return {.nf_id = state_[i].nf_id,
+            .host_window_base = 4096 * i,
+            .host_window_bytes = 4096,
+            .nic_window_vbase = 0x10000 + 4096 * i,
+            .nic_window_bytes = 4096};
+  }
+  void BindDma(size_t i) {
+    SNIC_CHECK_OK(
+        dma_.ConfigureBank(static_cast<uint32_t>(i + 1), DmaBank(i)));
+  }
+
+  // Attacker VFs feed containment (crash with kVnicAbuse); a verdict on
+  // anyone else's VF is a detector false positive, counted.
+  void OnAbuse(uint32_t vf, core::vnic::VfAbuse kind) {
+    for (size_t i = 0; i < n_; ++i) {
+      const TenantSpec& t = spec_.tenants[i];
+      if (!t.has_vf || state_[i].vf != vf) {
+        continue;
+      }
+      if (t.role != TenantRole::kAttacker) {
+        ++result_.false_abuse_flags;
+      } else {
+        ++result_.abuse_reports[static_cast<int>(kind)];
+        if (Running(i)) {
+          supervisor_.ReportCrash(t.name, mgmt::CrashCause::kVnicAbuse);
+        }
+      }
+      return;
+    }
+  }
+
+  // Re-points a relaunched tenant's rules, DMA bank, VF and chain link.
+  void OnRestart(const std::string& name, uint64_t old_id, uint64_t new_id) {
+    const size_t i = TenantIndex(spec_, name);
+    SNIC_CHECK(i < n_);
+    plane_.RetargetRules(old_id, new_id);
+    state_[i].nf_id = new_id;
+    ++result_.tenants[i].restarts;
+    if (spec_.tenants[i].dma) {
+      BindDma(i);
+    }
+    if (spec_.tenants[i].has_vf) {
+      SNIC_CHECK_OK(
+          front_end_.RebindVf(state_[i].vf, new_id, device_.Vpp(new_id)));
+    }
+    RelinkChain(i, old_id);
+  }
+
+  // The overload target's credit chain to its downstream consumer,
+  // re-created whenever either endpoint relaunches under a new id.
+  void RelinkChain(size_t i, uint64_t old_id) {
+    if (chain_index_ == n_ || (i != target_index_ && i != chain_index_)) {
+      return;
+    }
+    chains_.RemoveLinksFor(old_id);
+    const core::ChainLinkConfig link{
+        .producer_nf = state_[target_index_].nf_id,
+        .consumer_nf = state_[chain_index_].nf_id,
+        .frames_per_tick = kChainFramesPerTick,
+        .flow_control = core::ChainFlowControl::kCredit};
+    SNIC_CHECK(chains_.CreateLink(link).ok());
+  }
+
+  // A well-behaved VF keeps its ring full and rings once, inside the policer
+  // budget; a running attacker refills, floods and squats as specified.
+  void ServeVf(size_t i) {
+    TenantState& ts = state_[i];
+    const TenantSpec& t = spec_.tenants[i];
+    if (t.role != TenantRole::kAttacker) {
+      SNIC_CHECK_OK(RefillRing(i));
+      SNIC_CHECK(front_end_.RingDoorbell(ts.vf));
+      return;
+    }
+    if (!Running(i) || front_end_.IsQuarantined(ts.vf)) {
+      return;
+    }
+    const uint64_t resets = front_end_.StatsOf(ts.vf).resets;
+    if (resets != ts.resets_seen) {
+      ts.resets_seen = resets;
+      ts.posted_total = 0;  // VF reset rewound the expected ring index
+    }
+    (void)RefillRing(i);
+    const bool targeted = spec_.has_attack && spec_.attack.target == t.name;
+    const uint64_t flood = targeted ? spec_.attack.flood_rings : 0;
+    for (uint64_t k = 0; k < 1 + flood; ++k) {
+      (void)front_end_.RingDoorbell(ts.vf);
+    }
+    if (!(targeted && spec_.attack.squat)) {
+      while (front_end_.Harvest(ts.vf).ok()) {
+      }
+    }
+  }
+
+  // Tops tenant i's RX ring back up to its slot count.
+  Status RefillRing(size_t i) {
+    TenantState& ts = state_[i];
+    const TenantSpec& t = spec_.tenants[i];
+    const uint32_t occupancy = front_end_.RingOccupancy(ts.vf);
+    if (occupancy >= t.vf.ring_slots) {
+      return OkStatus();
+    }
+    const uint32_t refill = t.vf.ring_slots - occupancy;
+    const uint16_t buffer_len = t.role == TenantRole::kAttacker
+                                    ? kAttackerBufferBytes
+                                    : kVfBufferBytes;
+    Status posted = front_end_.PostDescriptors(
+        ts.vf,
+        RefillBlock(ts.posted_total, refill, t.vf.ring_slots, buffer_len));
+    if (posted.ok()) {
+      ts.posted_total += refill;
+    }
+    return posted;
+  }
+
+  // The overload target gets load_pct% of its service budget through an
+  // integer accumulator (deterministic); the rest send frames_per_step.
+  void OfferTraffic(size_t i) {
+    const TenantSpec& t = spec_.tenants[i];
+    uint64_t frames = t.frames_per_step;
+    if (i == target_index_) {
+      offered_acc_ += spec_.overload.load_pct * spec_.overload.service_per_step;
+      frames = offered_acc_ / 100;
+      offered_acc_ %= 100;
+    }
+    for (uint64_t k = 0; k < frames; ++k) {
+      (void)device_.DeliverFromWire(MakePacket(state_[i].traffic, t.port));
+    }
+  }
+
+  // Poll, digest, echo: everything the bystander observes joins its record.
+  void ServeBystander(size_t i) {
+    TenantState& ts = state_[i];
+    Drain(i, [this, i](net::Packet packet) {
+      TenantState& s = state_[i];
+      s.rx_digest.Mix(packet.bytes().data(), packet.size());
+      s.rx_counter->Inc();
+      if (device_.NfSend(s.nf_id, std::move(packet)).ok()) {
+        s.tx_counter->Inc();
+      }
+    });
+    while (spec_.tenants[i].has_vf) {
+      const auto completion = front_end_.Harvest(ts.vf);
+      if (!completion.ok()) {
+        break;
+      }
+      const auto& c = completion.value();
+      ts.cpl_digest.Mix64(c.ring_index);
+      ts.cpl_digest.Mix64(c.bytes);
+      ts.cpl_digest.Mix64(c.cycle);
+      ts.cpl_digest.Mix64(c.wait_cycles);
+      ++ts.completions;
+    }
+    supervisor_.Heartbeat(spec_.tenants[i].name);
+  }
+
+  // The attacker drains its own pipeline so squatting (not a full VPP) is
+  // what fills the completion queue.
+  void ServeAttacker(size_t i) {
+    if (Running(i)) {
+      Drain(i, [this, i](net::Packet p) { Forward(i, std::move(p)); });
+      supervisor_.Heartbeat(spec_.tenants[i].name);
+    }
+  }
+
+  // Forward, DMA copy, accelerator touch; an unavailable endpoint or cluster
+  // is reported as a crash. A hang skips service and heartbeat alike (the
+  // watchdog's job). The chain consumer is served after the hop.
+  void ServeWorkload(size_t i, uint64_t now) {
+    const TenantSpec& t = spec_.tenants[i];
+    const uint64_t nf_id = state_[i].nf_id;
+    if (!Running(i) || i == chain_index_ ||
+        SNIC_FAULT_FIRES(fault::sites::kNfHang, nf_id)) {
+      return;
+    }
+    if (i == target_index_) {
+      ServeTarget(now);
+    } else {
+      Drain(i, [this, i](net::Packet p) { Forward(i, std::move(p)); });
+    }
+    if (t.dma) {
+      const uint32_t channel = static_cast<uint32_t>(i + 1);
+      const mgmt::DmaBankConfig w = DmaBank(i);
+      const Status h2n = dma_.HostToNic(channel, w.host_window_base,
+                                        w.nic_window_vbase, 256);
+      const Status n2h =
+          !h2n.ok() ? OkStatus()
+                    : dma_.NicToHost(channel, w.nic_window_vbase,
+                                     w.host_window_base + 1024, 256);
+      if (h2n.code() == ErrorCode::kUnavailable ||
+          n2h.code() == ErrorCode::kUnavailable) {
+        supervisor_.ReportCrash(t.name, mgmt::CrashCause::kDmaFault);
+        return;
+      }
+    }
+    const int cluster = t.zip_clusters > 0 && i != target_index_ &&
+                                !supervisor_.IsDegraded(t.name)
+                            ? ClusterOf(nf_id)
+                            : -1;
+    if (cluster >= 0) {
+      const auto access = device_.accel_pool().ThreadAccess(
+          accel::AcceleratorType::kZip, static_cast<uint32_t>(cluster),
+          0x1000, false);
+      if (!access.ok() &&
+          access.status().code() == ErrorCode::kUnavailable) {
+        supervisor_.ReportCrash(t.name, mgmt::CrashCause::kAccelFault);
+        return;
+      }
+    }
+    supervisor_.Heartbeat(t.name);
+  }
+
+  // Budgeted service through the breaker-gated accelerator: an open breaker
+  // sends the frame down the software path, degraded but never dropped.
+  void ServeTarget(uint64_t now) {
+    const size_t i = target_index_;
+    EnsureGate();
+    const int cluster =
+        spec_.tenants[i].zip_clusters > 0 ? ClusterOf(state_[i].nf_id) : -1;
+    const auto serve = [this, i, cluster, now](net::Packet packet) {
+      if (gate_ != nullptr && cluster >= 0) {
+        (void)gate_->Dispatch(accel::AcceleratorType::kZip,
+                              static_cast<uint32_t>(cluster), 0x1000, false,
+                              now);
+      }
+      Forward(i, std::move(packet));
+    };
+    Drain(i, serve, spec_.overload.service_per_step);
+  }
+
+  // The chain hop, then the downstream consumer's fixed drain.
+  void ServeChainConsumer() {
+    if (chain_index_ == n_) {
+      return;
+    }
+    chains_.TickAll();
+    if (Running(chain_index_)) {
+      chain_consumed_ +=
+          Drain(chain_index_, [](net::Packet) {}, kChainConsumePerStep);
+      supervisor_.Heartbeat(spec_.tenants[chain_index_].name);
+    }
+  }
+
+  // Attributes wire frames by destination port. A chain owns the target's
+  // TX, so the wire then drains every other tenant's pipeline instead.
+  void DrainWire() {
     for (;;) {
-      auto out = next_wire_frame();
+      auto out = chain_index_ == n_ ? device_.TransmitToWire() : NextChainTx();
       if (!out.ok()) {
         break;
       }
@@ -715,32 +646,102 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
         continue;
       }
       const uint16_t port = parsed.value().Tuple().dst_port;
-      for (size_t i = 0; i < n; ++i) {
-        if (spec.tenants[i].port == port) {
-          state[i].wire_digest.Mix(out.value().bytes().data(),
-                                   out.value().size());
-          ++state[i].wire_packets;
+      for (size_t i = 0; i < n_; ++i) {
+        if (spec_.tenants[i].port == port) {
+          state_[i].wire_digest.Mix(out.value().bytes().data(),
+                                    out.value().size());
+          ++state_[i].wire_packets;
           break;
         }
       }
     }
   }
+  Result<net::Packet> NextChainTx() {
+    for (size_t i = 0; i < n_; ++i) {
+      core::VirtualPacketPipeline* vpp = device_.Vpp(state_[i].nf_id);
+      if (i != target_index_ && vpp != nullptr && vpp->PeekTx() != nullptr) {
+        return vpp->DequeueTx();
+      }
+    }
+    return NotFound("no pending TX");
+  }
 
-  // ---- Per-tenant reports and outcomes -------------------------------------
-  for (size_t i = 0; i < n; ++i) {
-    TenantState& ts = state[i];
-    const TenantSpec& t = spec.tenants[i];
-    TenantOutcome& outcome = result.tenants[i];
+  // Hands up to `limit` frames of tenant i to `on_frame`; returns the count.
+  template <typename OnFrame>
+  uint64_t Drain(size_t i, OnFrame on_frame,
+                 uint64_t limit = std::numeric_limits<uint64_t>::max()) {
+    uint64_t received = 0;
+    for (; received < limit; ++received) {
+      auto frame = device_.NfReceive(state_[i].nf_id);
+      if (!frame.ok()) {
+        break;
+      }
+      on_frame(std::move(frame).value());
+    }
+    return received;
+  }
+
+  // Echoes a frame onto tenant i's own TX; a full TX queue drops it.
+  void Forward(size_t i, net::Packet packet) {
+    (void)device_.NfSend(state_[i].nf_id, std::move(packet));
+  }
+
+  bool Running(size_t i) const {
+    return supervisor_.HealthOf(spec_.tenants[i].name) ==
+           mgmt::NfHealth::kRunning;
+  }
+
+  int ClusterOf(uint64_t nf_id) {
+    const auto zip = accel::AcceleratorType::kZip;
+    const accel::VirtualAcceleratorPool& pool = device_.accel_pool();
+    for (uint32_t c = 0; c < pool.NumClusters(zip); ++c) {
+      if (pool.Owner(zip, c) == std::optional<uint64_t>(nf_id)) {
+        return static_cast<int>(c);
+      }
+    }
+    return -1;
+  }
+
+  // A fresh breaker-gated dispatch per target incarnation (with zip).
+  void EnsureGate() {
+    const size_t i = target_index_;
+    if (spec_.tenants[i].zip_clusters == 0 ||
+        (gate_ != nullptr && gate_generation_ == result_.tenants[i].restarts)) {
+      return;
+    }
+    RetireGate();
+    gate_ = std::make_unique<core::AccelDispatchGate>(
+        &device_.accel_pool(), state_[i].nf_id,
+        core::CircuitBreakerConfig{.failures_to_open = 3,
+                                   .open_cycles = 10 * cps_,
+                                   .half_open_successes = 2});
+    gate_generation_ = result_.tenants[i].restarts;
+  }
+
+  // Folds the current gate's breaker transitions into the result.
+  void RetireGate() {
+    if (gate_ != nullptr) {
+      const core::CircuitBreakerStats& b = gate_->breaker().stats();
+      result_.breaker_opens += b.opens;
+      result_.breaker_reopens += b.reopens;
+      result_.breaker_closes += b.closes;
+    }
+  }
+
+  // Tenant i's report (its full observable record) and outcome.
+  void ReportTenant(size_t i) {
+    const TenantState& ts = state_[i];
+    const TenantSpec& t = spec_.tenants[i];
+    const char* name = t.name.c_str();
+    TenantOutcome& outcome = result_.tenants[i];
     std::string& report = outcome.report;
-
-    const core::VirtualPacketPipeline* vpp = device.Vpp(ts.nf_id);
-    AppendF(report, "%s.role: %s\n", t.name.c_str(),
+    AppendF(report, "%s.role: %s\n", name,
             std::string(TenantRoleName(t.role)).c_str());
-    AppendF(report, "%s.rx: %" PRIu64 " digest: %016" PRIx64 "\n",
-            t.name.c_str(), ts.rx_counter->value(), ts.rx_digest.h);
-    AppendF(report, "%s.wire: %" PRIu64 " digest: %016" PRIx64 "\n",
-            t.name.c_str(), ts.wire_packets, ts.wire_digest.h);
-    if (vpp != nullptr) {
+    AppendF(report, "%s.rx: %" PRIu64 " digest: %016" PRIx64 "\n", name,
+            ts.rx_counter->value(), ts.rx_digest.h);
+    AppendF(report, "%s.wire: %" PRIu64 " digest: %016" PRIx64 "\n", name,
+            ts.wire_packets, ts.wire_digest.h);
+    if (const core::VirtualPacketPipeline* vpp = device_.Vpp(ts.nf_id)) {
       const core::VppStats& s = vpp->stats();
       AppendF(report,
               "%s.vpp: rx=%" PRIu64 " drop_full=%" PRIu64
@@ -748,70 +749,89 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
               " drop_admission=%" PRIu64 " drop_early=%" PRIu64
               " shed_rx=%" PRIu64 " shed_tx=%" PRIu64 " tx=%" PRIu64
               " rx_bytes=%" PRIu64 " tx_bytes=%" PRIu64 "\n",
-              t.name.c_str(), s.rx_packets, s.rx_dropped_full,
-              s.rx_dropped_fault, s.rx_corrupt_fault, s.rx_dropped_admission,
-              s.rx_dropped_early, s.rx_shed_deadline, s.tx_shed_deadline,
-              s.tx_packets, s.rx_bytes, s.tx_bytes);
+              name, s.rx_packets, s.rx_dropped_full, s.rx_dropped_fault,
+              s.rx_corrupt_fault, s.rx_dropped_admission, s.rx_dropped_early,
+              s.rx_shed_deadline, s.tx_shed_deadline, s.tx_packets,
+              s.rx_bytes, s.tx_bytes);
     }
     if (t.bus_domain >= 0) {
-      AppendF(report, "%s.bus: %" PRIu64 " digest: %016" PRIx64 "\n",
-              t.name.c_str(), ts.bus_grants, ts.bus_digest.h);
+      AppendF(report, "%s.bus: %" PRIu64 " digest: %016" PRIx64 "\n", name,
+              ts.bus_grants, ts.bus_digest.h);
     }
     if (t.has_vf) {
-      const core::vnic::VfStats& vfs = front_end.StatsOf(ts.vf);
+      const core::vnic::VfStats& vfs = front_end_.StatsOf(ts.vf);
       AppendF(report, "%s.completions: %" PRIu64 " digest: %016" PRIx64 "\n",
-              t.name.c_str(), ts.completions, ts.cpl_digest.h);
+              name, ts.completions, ts.cpl_digest.h);
       AppendF(report,
               "%s.vf: posted=%" PRIu64 " delivered=%" PRIu64
               " harvested=%" PRIu64 " rings=%" PRIu64
               " ring_rejected=%" PRIu64 " drops=%" PRIu64 "/%" PRIu64
               "/%" PRIu64 "/%" PRIu64 " abuse=%" PRIu64 " max_wait=%" PRIu64
               "\n",
-              t.name.c_str(), vfs.posts_accepted, vfs.delivered,
-              vfs.harvested, vfs.doorbell_rings, vfs.doorbell_rejected,
-              vfs.dropped_no_descriptor, vfs.dropped_cq_full, vfs.dropped_vpp,
-              vfs.dropped_quarantined, vfs.abuse_flags,
+              name, vfs.posts_accepted, vfs.delivered, vfs.harvested,
+              vfs.doorbell_rings, vfs.doorbell_rejected,
+              vfs.dropped_no_descriptor, vfs.dropped_cq_full,
+              vfs.dropped_vpp, vfs.dropped_quarantined, vfs.abuse_flags,
               vfs.max_delivery_wait_cycles);
       outcome.vf_max_wait_cycles = vfs.max_delivery_wait_cycles;
     }
-    AppendF(report, "%s.metrics: tx=%" PRIu64 "\n", t.name.c_str(),
+    AppendF(report, "%s.metrics: tx=%" PRIu64 "\n", name,
             ts.tx_counter->value());
-    const LaneDigest lane = DigestRingLane(ring, static_cast<uint32_t>(ts.nf_id));
-    AppendF(report, "%s.ring: %" PRIu64 " digest: %016" PRIx64 "\n",
-            t.name.c_str(), lane.count, lane.digest);
+    const LaneDigest lane =
+        DigestRingLane(ring_, static_cast<uint32_t>(ts.nf_id));
+    AppendF(report, "%s.ring: %" PRIu64 " digest: %016" PRIx64 "\n", name,
+            lane.count, lane.digest);
 
-    outcome.final_health = supervisor.HealthOf(t.name);
-    outcome.degraded = supervisor.IsDegraded(t.name);
-    outcome.edge_quarantined = t.has_vf && front_end.IsQuarantined(ts.vf);
+    outcome.final_health = supervisor_.HealthOf(t.name);
+    outcome.edge_quarantined = t.has_vf && front_end_.IsQuarantined(ts.vf);
     outcome.wire_packets = ts.wire_packets;
-    if (ts.crash_open) {
-      ++outcome.unresolved_crashes;
-      const uint64_t gap = spec.steps - ts.crash_step;
-      if (gap > outcome.worst_recovery_steps) {
-        outcome.worst_recovery_steps = gap;
-      }
+    if (ts.crash_open) {  // still unresolved: measured to the final step
+      outcome.worst_recovery_steps =
+          std::max(outcome.worst_recovery_steps, spec_.steps - ts.crash_step);
     }
   }
 
-  if (spec.has_overload && target_index < n) {
-    result.target_goodput = chain_index < n
-                                ? chain_consumed
-                                : result.tenants[target_index].wire_packets;
-    const core::VirtualPacketPipeline* vpp =
-        device.Vpp(state[target_index].nf_id);
-    if (vpp != nullptr) {
-      result.queue_peak_frames = vpp->stats().rx_peak_frames;
-      result.queue_peak_bytes = vpp->stats().rx_peak_bytes;
-    }
+  const ScenarioSpec& spec_;
+  const size_t n_;
+  const uint64_t cps_;
+  // The overload target and its chain consumer; n_ when absent.
+  const size_t target_index_;
+  const size_t chain_index_;
+  RunResult result_;
+  // Declaration order is construction order, and part of the replay.
+  obs::MetricRegistry registry_;
+  obs::ScopedDefaultRegistry scoped_registry_;
+  obs::TraceRing local_ring_;
+  obs::TraceRing& ring_;
+  fault::FaultPlane plane_;
+  fault::ScopedFaultPlane scoped_plane_;
+  Rng vendor_rng_;
+  crypto::VendorAuthority vendor_;
+  core::SnicDevice device_;
+  mgmt::NicOs nic_os_;
+  core::vnic::PfVfManager front_end_;
+  mgmt::Supervisor supervisor_;
+  std::vector<TenantState> state_;
+  mgmt::HostMemory host_;
+  mgmt::DmaController dma_;
+  core::ChainManager chains_;
+  std::unique_ptr<mgmt::Autoscaler> pool_;
+  std::unique_ptr<sim::TemporalPartitionArbiter> bus_;
+  std::unique_ptr<core::AccelDispatchGate> gate_;
+  uint64_t gate_generation_ = 0;  // target restarts when gate_ was made
+  uint64_t offered_acc_ = 0;
+  uint64_t chain_consumed_ = 0;
+};
+
+}  // namespace
+
+RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
+                           obs::TraceRing* trace_ring) {
+  Constellation run(spec, seed, trace_ring);
+  for (uint64_t step = 0; step < spec.steps; ++step) {
+    run.Step(step);
   }
-  retire_gate();
-  if (pool != nullptr) {
-    result.pressure_scale_ups = pool->stats().pressure_scale_ups;
-  }
-  result.supervisor = supervisor.stats();
-  result.restart_queue_peak = supervisor.restart_queue_peak();
-  result.faults_injected = plane.injected_total();
-  return result;
+  return run.Finish();
 }
 
 namespace {
@@ -822,15 +842,6 @@ struct Check {
   bool ok = true;
   std::string why;
 };
-
-size_t TenantIndex(const ScenarioSpec& spec, const std::string& name) {
-  for (size_t i = 0; i < spec.tenants.size(); ++i) {
-    if (spec.tenants[i].name == name) {
-      return i;
-    }
-  }
-  return spec.tenants.size();
-}
 
 // The predicates one subject run must satisfy (at every ladder point), in
 // verdict-detail order.
@@ -946,11 +957,10 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
   const VerdictSpec& v = spec.verdicts;
   const std::vector<uint64_t>& ladder = spec.overload.ladder_pct;
 
+  const std::vector<uint64_t> loads =
+      ladder.empty() ? std::vector<uint64_t>{spec.overload.load_pct} : ladder;
   std::vector<RunResult> points;
-  if (ladder.empty()) {
-    points.push_back(RunConstellation(spec, seed));
-  }
-  for (const uint64_t pct : ladder) {
+  for (const uint64_t pct : loads) {
     ScenarioSpec point = spec;
     point.overload.load_pct = pct;
     points.push_back(RunConstellation(point, seed));
@@ -958,27 +968,20 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
   const bool needs_baseline = v.bystander_identical ||
                               v.goodput_floor_pct > 0 ||
                               !v.detect_abuse.empty();
-  RunResult baseline;
-  if (needs_baseline) {
-    baseline = RunConstellation(BaselineTwin(spec), seed);
-  }
+  const RunResult baseline =
+      needs_baseline ? RunConstellation(BaselineTwin(spec), seed) : RunResult{};
 
   // Per-run predicates: the first failing point's reason wins.
   std::vector<Check> checks;
   for (size_t k = 0; k < points.size(); ++k) {
     std::vector<Check> at = PointChecks(spec, points[k], baseline);
-    if (!ladder.empty()) {
-      for (Check& c : at) {
-        c.why = "load=" + std::to_string(ladder[k]) +
-                (c.why.empty() ? "" : ":" + c.why);
-      }
-    }
-    if (k == 0) {
-      checks = std::move(at);
-      continue;
-    }
+    checks.resize(at.size());
     for (size_t j = 0; j < at.size(); ++j) {
-      if (checks[j].ok && !at[j].ok) {
+      if (!ladder.empty()) {
+        at[j].why = "load=" + std::to_string(loads[k]) +
+                    (at[j].why.empty() ? "" : ":" + at[j].why);
+      }
+      if (k == 0 || (checks[j].ok && !at[j].ok)) {
         checks[j] = std::move(at[j]);
       }
     }
@@ -993,7 +996,7 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
       const uint64_t goodput = points[k].target_goodput;
       if (c.ok && goodput * 100 < best * v.goodput_non_collapsing_pct) {
         c.ok = false;
-        c.why = "load=" + std::to_string(ladder[k]) + ":" +
+        c.why = "load=" + std::to_string(loads[k]) + ":" +
                 std::to_string(goodput) + "/" + std::to_string(best);
       }
       best = std::max(best, goodput);
@@ -1016,23 +1019,14 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
                           ",closes=" + std::to_string(top.breaker_closes)});
   }
 
-  ScenarioVerdict verdict;
-  verdict.pass = true;
+  ScenarioVerdict verdict{true, ""};
   std::string& detail = verdict.detail;
   for (const Check& c : checks) {
-    if (!detail.empty()) {
-      detail += " ";
-    }
-    detail += c.name;
-    if (c.ok) {
-      detail += "=ok";
-    } else {
-      verdict.pass = false;
-      detail += "=FAIL";
-      if (!c.why.empty()) {
-        detail += "(" + c.why + ")";
-      }
-    }
+    verdict.pass = verdict.pass && c.ok;
+    detail += (detail.empty() ? "" : " ") + c.name +
+              (c.ok               ? "=ok"
+               : c.why.empty()    ? "=FAIL"
+                                  : "=FAIL(" + c.why + ")");
   }
   if (detail.empty()) {
     detail = "no-predicates";

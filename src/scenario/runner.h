@@ -3,19 +3,23 @@
 // the overload plane and the temporal-partition bus — and evaluates the
 // spec's verdict predicates.
 //
-// RunConstellation is the one robustness harness: per-tenant roles pick
-// behavior (workload = chaos victim with DMA/accel crash reporting;
-// bystander = poll/digest/echo with the full observable record; attacker =
-// hostile VF moves), the overload section drives an offered-load
-// accumulator at the target (optionally through a credit chain and beside
-// an elastic autoscaler pool), and the fault schedule is installed
-// verbatim. Everything is seeded through runtime::DeriveTaskSeed lanes, so
-// a (spec, seed) pair replays bit-for-bit at any --jobs count.
+// RunConstellation is the one robustness harness. A file-local
+// Constellation runs in three phases: its constructor boots the device and
+// adopts, wires and schedules every tenant; Step() advances one step, each
+// phase across all tenants (VF moves, wire traffic, bus grants, per-role
+// service, chain hop, Supervisor tick, wire drain); Finish() reduces the
+// run to a RunResult. Service is one switch on the tenant's role: workload
+// (chaos victim with DMA/accel crash reporting; the overload target gets
+// budgeted, breaker-gated service), bystander (poll/digest/echo with the
+// full observable record) or attacker (hostile VF moves). Step() is the
+// attach point for a per-step invariant auditor. Everything is seeded
+// through runtime::DeriveTaskSeed lanes, so a (spec, seed) pair replays
+// bit-for-bit at any --jobs count.
 //
-// EvaluateScenario runs the subject spec (once per point of a load
-// ladder), runs the stripped BaselineTwin when a differential predicate
-// needs it, and reduces them to a one-line pass/fail verdict. Every spec
-// gets a verdict; there is no silent skip.
+// EvaluateScenario runs the subject spec once per load point ({load_pct}
+// or the ladder), runs the stripped BaselineTwin when a differential
+// predicate needs it, and reduces them to a one-line pass/fail verdict.
+// Every spec gets a verdict; there is no silent skip.
 
 #ifndef SNIC_SCENARIO_RUNNER_H_
 #define SNIC_SCENARIO_RUNNER_H_
@@ -36,15 +40,11 @@ namespace snic::scenario {
 struct TenantOutcome {
   std::string report;
   mgmt::NfHealth final_health = mgmt::NfHealth::kRunning;
-  bool degraded = false;
   bool edge_quarantined = false;   // vNIC front-end verdict (VF tenants)
   uint64_t restarts = 0;           // successful relaunches of this tenant
-  uint64_t crashes_seen = 0;       // driver-observed crash reports
-  // Recovery-deadline SLO inputs: the worst crash -> (Running|Quarantined)
-  // gap in steps, and crashes still unresolved when the run ended (their
-  // gap is measured against the final step).
+  // Recovery-deadline SLO input: the worst crash -> (Running|Quarantined)
+  // gap in steps (a crash still open at the end counts to the final step).
   uint64_t worst_recovery_steps = 0;
-  uint64_t unresolved_crashes = 0;
   uint64_t wire_packets = 0;       // frames this tenant put on the wire
   uint64_t vf_max_wait_cycles = 0;  // worst RX descriptor wait (VF tenants)
 };
@@ -52,10 +52,8 @@ struct TenantOutcome {
 struct RunResult {
   std::vector<TenantOutcome> tenants;  // spec declaration order
   mgmt::SupervisorStats supervisor;
-  uint64_t restart_queue_peak = 0;
   uint64_t faults_injected = 0;
   // Overload-target accounting (zero when the spec has no overload section).
-  uint64_t offered = 0;
   // The target's wire egress, or with a chain what the downstream consumed.
   uint64_t target_goodput = 0;
   uint64_t queue_peak_frames = 0;

@@ -36,13 +36,17 @@ std::string MinimalJson() {
   })";
 }
 
-ScenarioSpec LoadSoakSpec(const std::string& file) {
-  std::ifstream in(std::string(SNIC_SOAK_SPECS_DIR) + "/" + file);
+ScenarioSpec LoadSpecFile(const std::string& path) {
+  std::ifstream in(path);
   std::stringstream text;
   text << in.rdbuf();
   const auto spec = ParseScenarioSpec(text.str());
-  EXPECT_TRUE(spec.ok()) << file << ": " << spec.status().message();
+  EXPECT_TRUE(spec.ok()) << path << ": " << spec.status().message();
   return spec.ok() ? spec.value() : ScenarioSpec{};
+}
+
+ScenarioSpec LoadSoakSpec(const std::string& file) {
+  return LoadSpecFile(std::string(SNIC_SOAK_SPECS_DIR) + "/" + file);
 }
 
 const ScenarioSpec& FindSpec(const std::vector<ScenarioSpec>& specs,
@@ -243,6 +247,35 @@ TEST(ScenarioRunnerTest, SameSeedSameReports) {
     any_diff |= a.tenants[i].report != c.tenants[i].report;
   }
   EXPECT_TRUE(any_diff);
+}
+
+TEST(ScenarioRunnerTest, LongTenantNameKeepsTheWholeReport) {
+  // Every report line starts with the tenant name, and names have no length
+  // limit. A long name must not truncate the report: bystander_identical
+  // would then compare the name alone.
+  ScenarioSpec spec =
+      LoadSpecFile(std::string(SNIC_SCENARIOS_DIR) + "/chaos_classic.json");
+  size_t b = 0;
+  while (b < spec.tenants.size() &&
+         spec.tenants[b].role != TenantRole::kBystander) {
+    ++b;
+  }
+  ASSERT_LT(b, spec.tenants.size());
+  const std::string short_name = spec.tenants[b].name;
+  const std::string short_report =
+      RunConstellation(spec, kSeed).tenants[b].report;
+  const std::string long_name = short_name + std::string(600, 'x');
+  spec.tenants[b].name = long_name;
+  const std::string long_report =
+      RunConstellation(spec, kSeed).tenants[b].report;
+
+  std::string expected = short_report;
+  for (size_t at = expected.find(short_name); at != std::string::npos;
+       at = expected.find(short_name, at + long_name.size())) {
+    expected.replace(at, short_name.size(), long_name);
+  }
+  EXPECT_EQ(long_report, expected);
+  EXPECT_NE(long_report.find(".ring: "), std::string::npos);
 }
 
 TEST(ScenarioRunnerTest, VerdictsPassAcrossFamilies) {
