@@ -14,6 +14,16 @@ void CryptoCoprocessor::DigestUpdate(crypto::Sha256& hasher,
   hasher.Update(data);
 }
 
+void CryptoCoprocessor::DigestPage(crypto::Sha256& hasher,
+                                   std::span<const uint8_t> written,
+                                   uint64_t zeros,
+                                   crypto::Sha256ZeroMemo* memo) {
+  elapsed_ms_ += static_cast<double>(written.size() + zeros) /
+                 rates_.sha_bytes_per_ms;
+  hasher.Update(written);
+  hasher.UpdateZeros(zeros, memo);
+}
+
 void CryptoCoprocessor::AccountScrub(uint64_t bytes) {
   elapsed_ms_ += static_cast<double>(bytes) / rates_.scrub_bytes_per_ms;
 }

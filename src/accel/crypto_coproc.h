@@ -40,6 +40,13 @@ class CryptoCoprocessor {
   // Streaming digest used by nf_launch's cumulative measurement.
   void DigestUpdate(crypto::Sha256& hasher, std::span<const uint8_t> data);
 
+  // nf_launch's per-page step: absorbs `written` followed by `zeros` zero
+  // bytes (through `memo` when given). The modeled time is charged for the
+  // whole page in one step, exactly what DigestUpdate of the materialized
+  // page charges.
+  void DigestPage(crypto::Sha256& hasher, std::span<const uint8_t> written,
+                  uint64_t zeros, crypto::Sha256ZeroMemo* memo);
+
   // Models zeroing `bytes` of RAM (nf_teardown's scrub). The caller zeroes
   // the actual backing store; this only accounts the time.
   void AccountScrub(uint64_t bytes);

@@ -12,22 +12,16 @@ PhysicalMemory::PhysicalMemory(uint64_t total_bytes, uint64_t page_bytes)
   owners_.assign(total_bytes_ / page_bytes_, kPageFree);
 }
 
-const std::vector<uint8_t>* PhysicalMemoryPageLookup(
-    const std::unordered_map<uint64_t, std::vector<uint8_t>>& pages,
-    uint64_t page_index) {
-  const auto it = pages.find(page_index);
-  return it == pages.end() ? nullptr : &it->second;
-}
-
-const std::vector<uint8_t>* PhysicalMemory::PageData(
+const PhysicalMemory::Page* PhysicalMemory::PageData(
     uint64_t page_index) const {
-  return PhysicalMemoryPageLookup(pages_, page_index);
+  const auto it = pages_.find(page_index);
+  return it == pages_.end() ? nullptr : &it->second;
 }
 
-std::vector<uint8_t>& PhysicalMemory::MutablePageData(uint64_t page_index) {
-  auto& page = pages_[page_index];
-  if (page.empty()) {
-    page.assign(page_bytes_, 0);
+PhysicalMemory::Page& PhysicalMemory::MutablePageData(uint64_t page_index) {
+  Page& page = pages_[page_index];
+  if (page.bytes.empty()) {
+    page.bytes.assign(page_bytes_, 0);
   }
   return page;
 }
@@ -40,11 +34,11 @@ void PhysicalMemory::Read(uint64_t paddr, std::span<uint8_t> out) const {
     const uint64_t offset = (paddr + done) % page_bytes_;
     const size_t chunk = static_cast<size_t>(
         std::min<uint64_t>(out.size() - done, page_bytes_ - offset));
-    const std::vector<uint8_t>* page = PageData(page_index);
+    const Page* page = PageData(page_index);
     if (page == nullptr) {
       std::memset(out.data() + done, 0, chunk);  // untouched page reads zero
     } else {
-      std::memcpy(out.data() + done, page->data() + offset, chunk);
+      std::memcpy(out.data() + done, page->bytes.data() + offset, chunk);
     }
     done += chunk;
   }
@@ -58,8 +52,9 @@ void PhysicalMemory::Write(uint64_t paddr, std::span<const uint8_t> data) {
     const uint64_t offset = (paddr + done) % page_bytes_;
     const size_t chunk = static_cast<size_t>(
         std::min<uint64_t>(data.size() - done, page_bytes_ - offset));
-    std::memcpy(MutablePageData(page_index).data() + offset,
-                data.data() + done, chunk);
+    Page& page = MutablePageData(page_index);
+    std::memcpy(page.bytes.data() + offset, data.data() + done, chunk);
+    page.written = std::max<uint64_t>(page.written, offset + chunk);
     done += chunk;
   }
 }
@@ -76,7 +71,18 @@ void PhysicalMemory::WriteByte(uint64_t paddr, uint8_t value) {
 
 void PhysicalMemory::ZeroPage(uint64_t page_index) {
   SNIC_CHECK(page_index < num_pages());
-  pages_.erase(page_index);  // sparse zero page
+  pages_.erase(page_index);  // sparse zero page, extent 0
+}
+
+std::span<const uint8_t> PhysicalMemory::WrittenPrefix(
+    uint64_t page_index) const {
+  SNIC_CHECK(page_index < num_pages());
+  const Page* page = PageData(page_index);
+  if (page == nullptr) {
+    return {};
+  }
+  return std::span<const uint8_t>(page->bytes.data(),
+                                  static_cast<size_t>(page->written));
 }
 
 uint64_t PhysicalMemory::OwnerOf(uint64_t page_index) const {

@@ -1,7 +1,10 @@
 // Physical on-NIC RAM model with page-granular ownership.
 //
 // Memory is sparse: pages materialize on first touch, so the model can
-// expose multi-GB physical address spaces without host RAM cost. Ownership
+// expose multi-GB physical address spaces without host RAM cost. Each
+// materialized page also keeps its written extent, the high-water mark of
+// every Write since the page was last zeroed: past it the page reads zero,
+// which lets nf_launch hash the rest as a zero run. Ownership
 // (free / NIC OS / NF id) is the substrate for S-NIC's single-owner RAM
 // semantics (§4.2); in commodity mode the same store is reachable from any
 // core with no checks, which is precisely the LiquidIO xkphys behaviour the
@@ -38,8 +41,13 @@ class PhysicalMemory {
   uint8_t ReadByte(uint64_t paddr) const;
   void WriteByte(uint64_t paddr, uint8_t value);
 
-  // Zeroes a page (nf_teardown scrub).
+  // Zeroes a page (nf_teardown scrub) and resets its written extent.
   void ZeroPage(uint64_t page_index);
+
+  // The page's bytes up to its written extent; every byte after them reads
+  // zero. Empty for a page never written (or zeroed since). The span is
+  // valid until the next Write or ZeroPage.
+  std::span<const uint8_t> WrittenPrefix(uint64_t page_index) const;
 
   // Ownership map.
   uint64_t OwnerOf(uint64_t page_index) const;
@@ -52,13 +60,18 @@ class PhysicalMemory {
   Result<std::vector<uint64_t>> AllocatePages(uint64_t count, uint64_t owner);
 
  private:
-  const std::vector<uint8_t>* PageData(uint64_t page_index) const;
-  std::vector<uint8_t>& MutablePageData(uint64_t page_index);
+  struct Page {
+    std::vector<uint8_t> bytes;
+    uint64_t written = 0;  // written extent: bytes[written..] are zero
+  };
+
+  const Page* PageData(uint64_t page_index) const;
+  Page& MutablePageData(uint64_t page_index);
 
   uint64_t total_bytes_;
   uint64_t page_bytes_;
-  std::vector<uint64_t> owners_;                       // per page
-  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;  // sparse data
+  std::vector<uint64_t> owners_;                // per page
+  std::unordered_map<uint64_t, Page> pages_;   // sparse data
 };
 
 }  // namespace snic::core

@@ -1,6 +1,7 @@
 #include "src/core/snic_device.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/core/vnic/pf_vf.h"
 #include "src/fault/fault.h"
@@ -22,14 +23,26 @@ std::vector<accel::ClusterConfig> SnicConfig::DefaultAccelClusters() {
   return configs;
 }
 
+BootKeys GenerateBootKeys(uint64_t boot_seed, size_t modulus_bits) {
+  Rng rng(boot_seed);
+  crypto::RootOfTrustKeys keys =
+      crypto::GenerateRootOfTrustKeys(modulus_bits, rng);
+  return {std::move(keys), rng};
+}
+
 SnicDevice::SnicDevice(const SnicConfig& config,
                        const crypto::VendorAuthority& vendor)
+    : SnicDevice(config, vendor,
+                 GenerateBootKeys(config.boot_seed, config.rsa_modulus_bits)) {}
+
+SnicDevice::SnicDevice(const SnicConfig& config,
+                       const crypto::VendorAuthority& vendor, BootKeys boot)
     : config_(config),
       memory_(config.dram_bytes, config.page_bytes),
       mgmt_denylist_(MakeDenylist(config.denylist_kind, memory_.num_pages())),
       accel_pool_(config.accel_clusters),
-      rng_(config.boot_seed),
-      root_of_trust_(vendor, config.rsa_modulus_bits, rng_) {
+      rng_(boot.rng),
+      root_of_trust_(vendor, std::move(boot.keys)) {
   SNIC_CHECK(config_.num_cores >= 2);  // NIC-OS core + at least one NF core
   SNIC_CHECK(config_.num_cores <= 64);
   SNIC_OBS(AttachObs(&obs::DefaultRegistry()));
@@ -168,7 +181,6 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   // Bind pages: ownership, denylist, and the function's locked TLB (virtual
   // address space starts at 0; one entry per physical page).
   crypto::Sha256 measurement;
-  std::vector<uint8_t> page_buffer(memory_.page_bytes());
   const double sha_before = coproc_.elapsed_ms();
   for (size_t i = 0; i < record->pages.size(); ++i) {
     const uint64_t page = record->pages[i];
@@ -181,13 +193,14 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     entry.writable = true;
     SNIC_CHECK_OK(record->tlb.Install(entry));
     // The measurement covers the *initial image* pages (heap pages are
-    // zero-filled and excluded, like SGX's unmeasured heap).
+    // zero-filled and excluded, like SGX's unmeasured heap): each whole
+    // page, hashed as its written prefix straight from storage and then
+    // the zeros past its written extent.
     if (i < args.image_pages.size()) {
-      memory_.Read(entry.phys_base,
-                   std::span<uint8_t>(page_buffer.data(), page_buffer.size()));
-      coproc_.DigestUpdate(measurement, std::span<const uint8_t>(
-                                            page_buffer.data(),
-                                            page_buffer.size()));
+      const std::span<const uint8_t> written = memory_.WrittenPrefix(page);
+      coproc_.DigestPage(measurement, written,
+                         memory_.page_bytes() - written.size(),
+                         measurement_memo_);
     }
   }
   record->tlb.Lock();

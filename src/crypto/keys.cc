@@ -1,5 +1,7 @@
 #include "src/crypto/keys.h"
 
+#include <utility>
+
 namespace snic::crypto {
 namespace {
 
@@ -48,18 +50,28 @@ bool VendorAuthority::VerifyCertificate(const RsaPublicKey& vendor_key,
   return RsaVerify(vendor_key, payload, cert.issuer_signature);
 }
 
+RootOfTrustKeys GenerateRootOfTrustKeys(size_t modulus_bits, Rng& rng) {
+  RootOfTrustKeys keys;
+  keys.ek = GenerateRsaKeyPair(modulus_bits, rng);
+  keys.ak = GenerateRsaKeyPair(modulus_bits, rng);
+  keys.ak_endorsement =
+      RsaSign(keys.ek.private_key, SerializePublicKey(keys.ak.public_key));
+  return keys;
+}
+
 NicRootOfTrust::NicRootOfTrust(const VendorAuthority& vendor,
                                size_t modulus_bits, Rng& rng)
-    : ek_keys_(GenerateRsaKeyPair(modulus_bits, rng)),
-      ek_certificate_(vendor.IssueCertificate("snic-ek", ek_keys_.public_key)),
-      ak_keys_(GenerateRsaKeyPair(modulus_bits, rng)) {
-  ak_endorsement_ =
-      RsaSign(ek_keys_.private_key, SerializePublicKey(ak_keys_.public_key));
+    : NicRootOfTrust(vendor, GenerateRootOfTrustKeys(modulus_bits, rng)) {}
+
+NicRootOfTrust::NicRootOfTrust(const VendorAuthority& vendor,
+                               RootOfTrustKeys keys)
+    : keys_(std::move(keys)),
+      ek_certificate_(vendor.IssueCertificate("snic-ek", keys_.ek.public_key)) {
 }
 
 std::vector<uint8_t> NicRootOfTrust::SignWithAk(
     std::span<const uint8_t> payload) const {
-  return RsaSign(ak_keys_.private_key, payload);
+  return RsaSign(keys_.ak.private_key, payload);
 }
 
 bool NicRootOfTrust::VerifyAkChain(const RsaPublicKey& vendor_key,

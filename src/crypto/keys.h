@@ -50,6 +50,19 @@ class VendorAuthority {
   RsaKeyPair keys_;
 };
 
+// The key material a root of trust draws from its entropy: the EK, the AK
+// and the EK's signature over AK_pub. The EK certificate is not part of it;
+// the vendor issues that.
+struct RootOfTrustKeys {
+  RsaKeyPair ek;
+  RsaKeyPair ak;
+  std::vector<uint8_t> ak_endorsement;  // Sign_EK(AK_pub serialization)
+};
+
+// Generates the EK, then the AK, from `rng`, and endorses AK_pub with
+// EK_priv. Deterministic given the RNG state.
+RootOfTrustKeys GenerateRootOfTrustKeys(size_t modulus_bits, Rng& rng);
+
 // The per-NIC key material held in private hardware registers.
 class NicRootOfTrust {
  public:
@@ -57,10 +70,17 @@ class NicRootOfTrust {
   // boot-time AK and signs AK_pub with EK_priv.
   NicRootOfTrust(const VendorAuthority& vendor, size_t modulus_bits, Rng& rng);
 
+  // Rebuilds a root of trust from keys an earlier boot generated. `vendor`
+  // issues the EK certificate afresh; RSA signing is deterministic, so it
+  // is the certificate the original boot obtained from the same vendor.
+  NicRootOfTrust(const VendorAuthority& vendor, RootOfTrustKeys keys);
+
   // Public, shareable parts of the chain.
   const Certificate& ek_certificate() const { return ek_certificate_; }
-  const RsaPublicKey& ak_public() const { return ak_keys_.public_key; }
-  const std::vector<uint8_t>& ak_endorsement() const { return ak_endorsement_; }
+  const RsaPublicKey& ak_public() const { return keys_.ak.public_key; }
+  const std::vector<uint8_t>& ak_endorsement() const {
+    return keys_.ak_endorsement;
+  }
 
   // Signs a quote payload with AK_priv. Only the trusted instruction layer
   // calls this (the private key never leaves the object).
@@ -73,10 +93,8 @@ class NicRootOfTrust {
                             std::span<const uint8_t> ak_endorsement);
 
  private:
-  RsaKeyPair ek_keys_;
+  RootOfTrustKeys keys_;
   Certificate ek_certificate_;
-  RsaKeyPair ak_keys_;
-  std::vector<uint8_t> ak_endorsement_;  // Sign_EK(AK_pub serialization)
 };
 
 }  // namespace snic::crypto

@@ -191,12 +191,12 @@ void Sha256::Update(const void* data, size_t len) {
     if (buffer_len_ < sizeof(buffer_)) {
       return;
     }
-    block_fn_(state_, buffer_, 1);
+    block_fn_(state_.data(), buffer_, 1);
     buffer_len_ = 0;
   }
   const size_t blocks = len / sizeof(buffer_);
   if (blocks > 0) {
-    block_fn_(state_, bytes, blocks);
+    block_fn_(state_.data(), bytes, blocks);
     bytes += blocks * sizeof(buffer_);
     len -= blocks * sizeof(buffer_);
   }
@@ -206,19 +206,92 @@ void Sha256::Update(const void* data, size_t len) {
   }
 }
 
+void Sha256::UpdateZeros(uint64_t n, Sha256ZeroMemo* memo) {
+  bit_count_ += n * 8;
+  const uint64_t total = buffer_len_ + n;
+  const size_t tail_after = static_cast<size_t>(total % sizeof(buffer_));
+  if (total < sizeof(buffer_)) {  // no block completes: just buffer
+    std::memset(buffer_ + buffer_len_, 0, static_cast<size_t>(n));
+    buffer_len_ = tail_after;
+    return;
+  }
+  Sha256ZeroMemo::Key key;
+  if (memo != nullptr) {
+    key.state = state_;
+    std::memcpy(key.tail.data(), buffer_, buffer_len_);
+    key.tail_len = buffer_len_;
+    key.zeros = n;
+  }
+  if (memo == nullptr || !memo->Find(key, state_)) {
+    // Complete the buffered block with zeros, then whole zero blocks.
+    static constexpr uint8_t kZeroBlocks[64 * 64] = {};
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    block_fn_(state_.data(), buffer_, 1);
+    for (uint64_t blocks = total / sizeof(buffer_) - 1; blocks > 0;) {
+      const uint64_t take = std::min<uint64_t>(blocks, 64);
+      block_fn_(state_.data(), kZeroBlocks, static_cast<size_t>(take));
+      blocks -= take;
+    }
+    if (memo != nullptr) {
+      memo->Insert(key, state_);
+    }
+  }
+  std::memset(buffer_, 0, tail_after);  // the new tail is all zeros
+  buffer_len_ = tail_after;
+}
+
+bool Sha256ZeroMemo::Find(const Key& key,
+                          std::array<uint32_t, 8>& state) const {
+  MutexLock lock(&mu_);
+  for (const Entry& entry : entries_) {
+    if (entry.key == key) {
+      state = entry.state;
+      return true;
+    }
+  }
+  return false;
+}
+
+void Sha256ZeroMemo::Insert(const Key& key,
+                            const std::array<uint32_t, 8>& state) {
+  MutexLock lock(&mu_);
+  ++misses_;
+  for (const Entry& entry : entries_) {
+    if (entry.key == key) {
+      return;  // another thread computed the same run meanwhile
+    }
+  }
+  if (entries_.size() < kCapacity) {
+    entries_.push_back({key, state});
+  } else {
+    entries_[next_] = {key, state};
+    next_ = (next_ + 1) % kCapacity;
+  }
+}
+
+size_t Sha256ZeroMemo::size() const {
+  MutexLock lock(&mu_);
+  return entries_.size();
+}
+
+uint64_t Sha256ZeroMemo::misses() const {
+  MutexLock lock(&mu_);
+  return misses_;
+}
+
 Sha256Digest Sha256::Finalize() {
   // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit count.
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
-    block_fn_(state_, buffer_, 1);
+    block_fn_(state_.data(), buffer_, 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  block_fn_(state_, buffer_, 1);
+  block_fn_(state_.data(), buffer_, 1);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {

@@ -8,16 +8,20 @@
 namespace snic::mgmt {
 
 crypto::Sha256Digest ExpectedMeasurement(const FunctionImage& image,
-                                         uint64_t page_bytes) {
+                                         uint64_t page_bytes,
+                                         crypto::Sha256ZeroMemo* memo) {
   // nf_launch digests the image page by page, zero-padded to page size:
   // that is the image bytes followed by zeros up to a page boundary.
   static constexpr uint8_t kZeros[4096] = {};
   crypto::Sha256 hasher;
   const uint64_t image_bytes = image.code_and_data.size();
   hasher.Update(image.code_and_data.data(), image_bytes);
-  for (uint64_t tail = CeilDiv(image_bytes, page_bytes) * page_bytes -
-                       image_bytes;
-       tail > 0;) {
+  uint64_t tail = CeilDiv(image_bytes, page_bytes) * page_bytes - image_bytes;
+  if (memo != nullptr) {
+    hasher.UpdateZeros(tail, memo);
+    tail = 0;
+  }
+  while (tail > 0) {
     const uint64_t take = std::min<uint64_t>(tail, sizeof(kZeros));
     hasher.Update(kZeros, take);
     tail -= take;

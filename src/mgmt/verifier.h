@@ -31,9 +31,14 @@ namespace snic::mgmt {
 // Recomputes the launch-time measurement for an image: the image bytes
 // padded to whole pages of `page_bytes` (nf_launch hashes full pages) plus
 // the serialized configuration. Must track SnicDevice::NfLaunch exactly —
-// the integration tests pin the two together.
-crypto::Sha256Digest ExpectedMeasurement(const FunctionImage& image,
-                                         uint64_t page_bytes);
+// the integration tests and the launch differential tests pin the two
+// together. Without a memo the padding is hashed from a zero buffer, block
+// by block: that path is the oracle. With one, the padding is a single
+// Sha256::UpdateZeros through `memo`, which yields the same digest and
+// costs no blocks for a (midstate, tail, run) the memo has seen.
+crypto::Sha256Digest ExpectedMeasurement(
+    const FunctionImage& image, uint64_t page_bytes,
+    crypto::Sha256ZeroMemo* memo = nullptr);
 
 class Verifier {
  public:

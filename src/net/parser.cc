@@ -199,8 +199,8 @@ void UpdateIpv4Checksum(std::span<uint8_t> frame, size_t l3_offset) {
 PacketBuilder::PacketBuilder() {
   src_mac_ = {0x02, 0, 0, 0, 0, 0x01};
   dst_mac_ = {0x02, 0, 0, 0, 0, 0x02};
-  tuple_.src_ip = Ipv4FromString("10.0.0.1");
-  tuple_.dst_ip = Ipv4FromString("10.0.0.2");
+  tuple_.src_ip = (10u << 24) | 1u;  // 10.0.0.1
+  tuple_.dst_ip = (10u << 24) | 2u;  // 10.0.0.2
   tuple_.src_port = 10000;
   tuple_.dst_port = 80;
   tuple_.protocol = static_cast<uint8_t>(IpProto::kTcp);

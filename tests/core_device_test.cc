@@ -171,6 +171,80 @@ TEST_F(DeviceTest, MeasurementDiffersByConfig) {
             device_.MeasurementOf(id2.value()).value());
 }
 
+// The written extent is a high-water mark of writes since the last zeroing,
+// per page, whatever order the writes come in.
+TEST(PhysicalMemoryTest, WrittenExtentIsHighWaterMarkUntilZeroed) {
+  constexpr uint64_t kPage = 4096;
+  PhysicalMemory memory(8 * kPage, kPage);
+  const std::vector<uint8_t> bytes(16, 0x5e);
+  EXPECT_TRUE(memory.WrittenPrefix(1).empty());
+  memory.Write(kPage + 1000, std::span<const uint8_t>(bytes.data(), 10));
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 1010u);
+  memory.Write(kPage, std::span<const uint8_t>(bytes.data(), 5));  // lower
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 1010u);
+  EXPECT_EQ(memory.WrittenPrefix(1)[1000], 0x5e);
+  // A write across a page boundary extends both pages.
+  memory.Write(3 * kPage - 4, std::span<const uint8_t>(bytes.data(), 8));
+  EXPECT_EQ(memory.WrittenPrefix(2).size(), kPage);
+  EXPECT_EQ(memory.WrittenPrefix(3).size(), 4u);
+  // Zeroing resets the extent; a shorter rewrite sets it afresh.
+  memory.ZeroPage(1);
+  EXPECT_TRUE(memory.WrittenPrefix(1).empty());
+  memory.Write(kPage, std::span<const uint8_t>(bytes.data(), 3));
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 3u);
+  EXPECT_EQ(memory.ReadByte(kPage + 1000), 0);
+}
+
+// nf_launch hashes each image page as its written prefix plus a zero run;
+// the digest must equal SHA-256 over the whole pages read back, then the
+// configuration blob. Writes land out of order and leave interior zeros.
+TEST_F(DeviceTest, LaunchMeasurementMatchesWholePageHash) {
+  crypto::Sha256ZeroMemo memo;
+  crypto::Sha256ZeroMemo* const memos[] = {nullptr, &memo};
+  std::vector<double> sha_ms;
+  for (crypto::Sha256ZeroMemo* m : memos) {
+    device_.SetMeasurementMemo(m);
+    const uint64_t page_bytes = device_.memory().page_bytes();
+    auto pages = device_.memory().AllocatePages(2, kPageNicOs);
+    ASSERT_TRUE(pages.ok());
+    const std::vector<uint8_t> high(300, 0xc3);
+    const std::vector<uint8_t> low(20, 0x3c);
+    for (uint64_t page : pages.value()) {
+      device_.memory().Write(page * page_bytes + 5000, high);
+      device_.memory().Write(page * page_bytes + 7, low);
+    }
+    NfLaunchArgs args;
+    args.core_mask = 0b10;
+    args.image_pages = pages.value();
+    args.config_blob = {4, 5, 6};
+
+    crypto::Sha256 oracle;
+    std::vector<uint8_t> page_copy(page_bytes);
+    for (uint64_t page : pages.value()) {
+      device_.memory().Read(page * page_bytes, page_copy);
+      oracle.Update(page_copy);
+    }
+    oracle.Update(args.config_blob);
+    const crypto::Sha256Digest want = oracle.Finalize();
+
+    const auto id = device_.NfLaunch(args);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(device_.MeasurementOf(id.value()).value(), want);
+    sha_ms.push_back(device_.last_launch_latency().sha_digest_ms);
+    ASSERT_TRUE(device_.NfTeardown(id.value()).ok());
+  }
+  // The modeled digest time covers both whole pages, memo or not (the
+  // window also spans the denylist update).
+  const accel::CryptoCoprocRates& rates = device_.coproc().rates();
+  for (const double ms : sha_ms) {
+    EXPECT_NEAR(ms,
+                static_cast<double>(2 * device_.memory().page_bytes() + 3) /
+                        rates.sha_bytes_per_ms +
+                    rates.denylist_ms,
+                1e-9);
+  }
+}
+
 TEST_F(DeviceTest, AcceleratorClustersBoundAndReleased) {
   NfLaunchArgs args = StageFunction(0x04);
   args.accel_clusters[static_cast<size_t>(accel::AcceleratorType::kDpi)] = 3;

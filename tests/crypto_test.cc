@@ -421,6 +421,79 @@ TEST(Sha256DifferentialTest, RandomLengthsUnderRandomChunking) {
   }
 }
 
+// ---- Zero-run continuation: UpdateZeros against Update of a zero buffer -
+
+// Run lengths around the block boundary, up to nf_launch's zero tail for a
+// 3000-byte image on a 2 MiB page.
+class Sha256ZeroRunDiffTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Every buffered length 0..63 on every block function, without a memo and
+// through one (first a miss, then a hit). The prefix is one fixed block and
+// then `buffered` fill bytes, so the midstate is the same for every
+// buffered length; with fill 0x00 the memo keys differ only in the
+// buffered length, which must therefore be part of the key.
+TEST_P(Sha256ZeroRunDiffTest, MatchesZeroBufferAtEveryBufferedLength) {
+  const uint64_t n = GetParam();
+  const std::vector<uint8_t> zeros(static_cast<size_t>(n), 0);
+  const std::vector<uint8_t> suffix = {0x5a, 0x01, 0x02, 0x03, 0x04};
+  for (Sha256BlockFn fn : BlockFns()) {
+    for (const uint8_t fill : {uint8_t{0x00}, uint8_t{0xab}}) {
+      Sha256ZeroMemo memo;
+      for (size_t buffered = 0; buffered < 64; ++buffered) {
+        SCOPED_TRACE(testing::Message() << "fill=" << int{fill}
+                                        << " buffered=" << buffered);
+        std::vector<uint8_t> prefix(64 + buffered, fill);
+        for (size_t i = 0; i < 64; ++i) {
+          prefix[i] = static_cast<uint8_t>(i * 7 + 1);
+        }
+        Sha256 oracle(fn);
+        oracle.Update(prefix);
+        oracle.Update(zeros);
+        oracle.Update(suffix);
+        const Sha256Digest want = oracle.Finalize();
+
+        auto zero_run = [&](Sha256ZeroMemo* m) {
+          Sha256 h(fn);
+          h.Update(prefix);
+          h.UpdateZeros(n, m);
+          h.Update(suffix);  // the tail left buffered must be zeros
+          return h.Finalize();
+        };
+        EXPECT_EQ(zero_run(nullptr), want);
+        const bool compresses = buffered + n >= 64;
+        const uint64_t misses = memo.misses();
+        EXPECT_EQ(zero_run(&memo), want);  // miss
+        EXPECT_EQ(memo.misses(), misses + (compresses ? 1 : 0));
+        EXPECT_EQ(zero_run(&memo), want);  // hit
+        EXPECT_EQ(memo.misses(), misses + (compresses ? 1 : 0));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Runs, Sha256ZeroRunDiffTest,
+                         ::testing::Values(0, 1, 55, 56, 63, 64, 65, 4095,
+                                           (2ull << 20) - 3000),
+                         [](const ::testing::TestParamInfo<uint64_t>& run) {
+                           return std::to_string(run.param) + "_zeros";
+                         });
+
+// The memo holds at most kCapacity runs and stays exact past that: older
+// runs are replaced, never answered wrongly.
+TEST(Sha256ZeroMemoTest, BoundedAndExactWhenFull) {
+  Sha256ZeroMemo memo;
+  for (int round = 0; round < 2; ++round) {
+    for (uint64_t n = 64; n < 64 + 3 * Sha256ZeroMemo::kCapacity; ++n) {
+      Sha256 memoised;
+      memoised.UpdateZeros(n, &memo);
+      const std::vector<uint8_t> zeros(static_cast<size_t>(n), 0);
+      ASSERT_EQ(memoised.Finalize(), Sha256::Hash(zeros)) << "n=" << n;
+      ASSERT_LE(memo.size(), Sha256ZeroMemo::kCapacity);
+    }
+  }
+  EXPECT_EQ(memo.size(), Sha256ZeroMemo::kCapacity);
+}
+
 TEST(PowModTest, ZeroExponentModOneIsZero) {
   // x^0 mod 1 = 0: every residue mod 1 is 0.
   for (uint64_t x : {0ull, 1ull, 5ull}) {

@@ -62,6 +62,18 @@ TEST(ParserTest, BuildParseRoundTripTcp) {
   EXPECT_FALSE(parsed.value().tcp->Ack());
 }
 
+TEST(ParserTest, BuilderDefaultTupleIsTheDocumentedFlow) {
+  // The default flow: 10.0.0.1:10000 -> 10.0.0.2:80 over TCP.
+  const auto parsed = Parse(PacketBuilder().Build().bytes());
+  ASSERT_TRUE(parsed.ok());
+  const FiveTuple t = parsed.value().Tuple();
+  EXPECT_EQ(t.src_ip, Ipv4FromString("10.0.0.1"));
+  EXPECT_EQ(t.dst_ip, Ipv4FromString("10.0.0.2"));
+  EXPECT_EQ(t.src_port, 10000);
+  EXPECT_EQ(t.dst_port, 80);
+  EXPECT_EQ(t.protocol, static_cast<uint8_t>(IpProto::kTcp));
+}
+
 TEST(ParserTest, BuildParseRoundTripUdp) {
   FiveTuple t = TestTuple();
   t.protocol = static_cast<uint8_t>(IpProto::kUdp);

@@ -62,6 +62,66 @@ TEST_F(VerifierTest, ExpectedMeasurementMatchesHardware) {
             device_.MeasurementOf(id.value()).value());
 }
 
+// ---- nf_launch against the memo-less ExpectedMeasurement oracle ----------
+
+// Launches `image` twice, first without a zero-run memo, then with one,
+// and checks both measurements against the memo-less recomputation (the
+// oracle) and against the memoised one. Tears both launches down.
+void ExpectLaunchMatchesOracle(core::SnicDevice& device, NicOs& nic_os,
+                               const FunctionImage& image) {
+  const uint64_t page_bytes = device.config().page_bytes;
+  const crypto::Sha256Digest oracle = ExpectedMeasurement(image, page_bytes);
+  crypto::Sha256ZeroMemo memo;
+  crypto::Sha256ZeroMemo* const device_memos[] = {nullptr, &memo};
+  for (crypto::Sha256ZeroMemo* device_memo : device_memos) {
+    device.SetMeasurementMemo(device_memo);
+    const auto id = nic_os.NfCreate(image);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(device.MeasurementOf(id.value()).value(), oracle);
+    ASSERT_TRUE(nic_os.NfDestroy(id.value()).ok());
+  }
+  EXPECT_EQ(ExpectedMeasurement(image, page_bytes, &memo), oracle);
+  device.SetMeasurementMemo(nullptr);
+}
+
+TEST_F(VerifierTest, LaunchDiffImageEndingMidPage) {
+  ExpectLaunchMatchesOracle(device_, nic_os_, Image());
+}
+
+TEST_F(VerifierTest, LaunchDiffImageEndingOnPageBoundary) {
+  FunctionImage image = Image();
+  image.code_and_data.assign(2 * device_.config().page_bytes, 0x3c);
+  image.code_and_data.back() = 0x01;
+  image.memory_bytes = 8ull << 20;
+  ExpectLaunchMatchesOracle(device_, nic_os_, image);
+}
+
+TEST_F(VerifierTest, LaunchDiffImageWithInteriorZeroRuns) {
+  // Page 0 is zero in the middle, page 1 starts with a zero run, and the
+  // image ends with zeros before its last page is padded.
+  const uint64_t page_bytes = device_.config().page_bytes;
+  FunctionImage image = Image();
+  image.code_and_data.assign(page_bytes + 70000, 0);
+  for (size_t i = 0; i < 4096; ++i) {
+    image.code_and_data[i] = static_cast<uint8_t>(i * 31 + 5);
+    image.code_and_data[page_bytes - 4096 + i] = static_cast<uint8_t>(i + 1);
+    image.code_and_data[page_bytes + 60000 + i] = static_cast<uint8_t>(~i);
+  }
+  image.memory_bytes = 8ull << 20;
+  ExpectLaunchMatchesOracle(device_, nic_os_, image);
+}
+
+TEST_F(VerifierTest, LaunchDiffPageRewrittenShorterAfterScrub) {
+  // The long image's teardown scrubs its pages; the short image is staged
+  // into the same first free page and must not measure the old bytes.
+  FunctionImage long_image = Image();
+  long_image.code_and_data.assign(900000, 0x77);
+  ExpectLaunchMatchesOracle(device_, nic_os_, long_image);
+  FunctionImage short_image = Image();
+  short_image.code_and_data.assign(100, 0x11);
+  ExpectLaunchMatchesOracle(device_, nic_os_, short_image);
+}
+
 TEST_F(VerifierTest, HonestLaunchVerifiesAndKeysChannel) {
   const FunctionImage image = Image();
   const auto id = nic_os_.NfCreate(image);
