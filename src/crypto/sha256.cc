@@ -180,6 +180,9 @@ void Sha256::Update(std::span<const uint8_t> data) {
 }
 
 void Sha256::Update(const void* data, size_t len) {
+  if (len == 0) {
+    return;  // `data` may then be null, which memcpy does not accept
+  }
   const auto* bytes = static_cast<const uint8_t*>(data);
   bit_count_ += static_cast<uint64_t>(len) * 8;
   if (buffer_len_ > 0) {

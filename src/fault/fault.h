@@ -27,6 +27,7 @@
 #ifndef SNIC_FAULT_FAULT_H_
 #define SNIC_FAULT_FAULT_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -117,6 +118,14 @@ inline constexpr std::string_view kVnicDescStale = "vnic.desc.stale";
 // Quota-exhaustion churn: a phantom reservation charges the VF's posted-byte
 // quota to its limit; only a VF reset releases it.
 inline constexpr std::string_view kVnicQuotaChurn = "vnic.quota.churn";
+// Every wired-in site above: the sites a scenario spec may schedule. The
+// snic_lint registry (tools/snic_lint/fault_sites.txt) lists the same set.
+inline constexpr std::array kAll = {
+    kAccelThreadAccess, kDmaHostToNic, kDmaNicToHost, kVppRxDrop,
+    kVppRxCorrupt, kVppRxAdmissionReject, kChainCreditGrant, kBreakerProbe,
+    kNfLaunch, kSupervisorReattest, kNfHang, kBusTimeout, kVnicDoorbellFlood,
+    kVnicCqSquat, kVnicDescCorrupt, kVnicDescStale, kVnicQuotaChurn,
+};
 }  // namespace sites
 
 // Matches every NF id (including 0, the "no NF yet" id used by nf_launch).

@@ -1,8 +1,10 @@
 // snic_scenarios: spec-file tooling for the scenario matrix
 // (docs/ROBUSTNESS.md, "The scenario matrix").
 //
-//   snic_scenarios validate FILE...        decode-or-reject each spec file;
-//                                          exit 1 on the first rejection
+//   snic_scenarios validate FILE...        decode-or-reject each spec file
+//                                          and check that its canonical form
+//                                          decodes to an equal spec; exit 1
+//                                          on the first failure
 //   snic_scenarios run [--seed=S] [--forensics-out=PREFIX] FILE...
 //                                          run each spec's verdict predicates;
 //                                          --forensics-out (one FILE only)
@@ -107,14 +109,21 @@ int Validate(int argc, char** argv) {
                    spec.status().message().c_str());
       return 1;
     }
-    // The canonical form must round-trip: serialize-then-parse is the
-    // contract the fuzzers pin, checked here on every real spec too.
+    // The canonical form must round-trip to an equal spec: the contract
+    // the fuzzers pin, checked here on every real spec too.
     const std::string canonical =
         scenario::SerializeScenarioSpec(spec.value());
     const auto again = scenario::ParseScenarioSpec(canonical);
     if (!again.ok()) {
       std::fprintf(stderr, "%s: ROUND-TRIP FAILED: %s\n", path.c_str(),
                    again.status().message().c_str());
+      return 1;
+    }
+    if (!(again.value() == spec.value())) {
+      std::fprintf(stderr,
+                   "%s: ROUND-TRIP FAILED: the canonical form decodes to a "
+                   "different spec\n",
+                   path.c_str());
       return 1;
     }
     std::printf("%s: ok (%s, %zu tenants, %zu fault rules)\n", path.c_str(),
